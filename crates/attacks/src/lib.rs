@@ -13,8 +13,7 @@
 //!
 //! Attacked sessions are executed through [`protocol::engine::SessionEngine`]: pick an
 //! [`protocol::engine::Adversary`], put it in a [`protocol::engine::Scenario`], and ask the
-//! engine for trials ([`harness::run_adversary_trials`] wraps exactly that and reports the
-//! legacy [`harness::AttackSummary`] shape).
+//! engine for trials.
 //!
 //! ## Example
 //!
@@ -39,14 +38,12 @@
 #![warn(missing_docs)]
 
 pub mod entangle_measure;
-pub mod harness;
 pub mod impersonation;
 pub mod intercept_resend;
 pub mod leakage;
 pub mod mitm;
 
 pub use entangle_measure::EntangleMeasureAttack;
-pub use harness::{run_adversary_trials, AttackSummary};
 pub use impersonation::{run_impersonation_trials, ImpersonationSummary};
 pub use intercept_resend::InterceptResendAttack;
 pub use leakage::LeakageAudit;
@@ -55,7 +52,6 @@ pub use mitm::ManInTheMiddleAttack;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::entangle_measure::EntangleMeasureAttack;
-    pub use crate::harness::{run_adversary_trials, AttackSummary};
     pub use crate::impersonation::{run_impersonation_trials, ImpersonationSummary};
     pub use crate::intercept_resend::InterceptResendAttack;
     pub use crate::leakage::LeakageAudit;

@@ -1,18 +1,26 @@
 //! Criterion bench for the man-in-the-middle attack experiment.
 
+use bench::campaigns::{attack_campaign, attack_rows};
+use bench::ChannelAttackKind;
 use criterion::{criterion_group, criterion_main, Criterion};
+use protocol::engine::{BackendKind, NoSampler};
 use std::hint::black_box;
 
 fn bench_mitm(c: &mut Criterion) {
     let mut group = c.benchmark_group("attack_mitm");
     group.sample_size(10);
+    let campaign = attack_campaign(
+        ChannelAttackKind::ManInTheMiddle,
+        BackendKind::default(),
+        2,
+        5,
+    );
     group.bench_function("2trials", |b| {
         b.iter(|| {
-            black_box(bench::channel_attack_experiment(
-                bench::ChannelAttackKind::ManInTheMiddle,
-                2,
-                5,
-            ))
+            let report = campaign
+                .run_direct(bench::engine_parallelism(), &NoSampler)
+                .expect("attack campaign runs");
+            black_box(attack_rows(&report).expect("attack rows recover"))
         });
     });
     group.finish();

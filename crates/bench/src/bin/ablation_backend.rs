@@ -10,12 +10,13 @@
 //! speedup.
 //!
 //! The sweep is the checked-in `campaigns/ablation_backend.json` definition (rebuilt via
-//! [`bench::campaigns::ablation_campaign`] when any flag overrides the stored defaults);
-//! pass `--legacy` to run the pre-campaign hand-rolled grid instead (CI byte-diffs the two).
+//! [`bench::campaigns::ablation_campaign`] when any flag overrides the stored defaults).
+//! The grid and divergence tables go to stdout, which is a pure function of the arguments;
+//! the live-timed Pareto table goes to stderr.
 //!
 //! ```text
 //! cargo run --release -p bench --bin ablation_backend -- \
-//!     [--trials N] [--seed N] [--etas CSV] [--legacy]
+//!     [--trials N] [--seed N] [--etas CSV]
 //! ```
 
 use analysis::report::render_markdown_table;
@@ -28,11 +29,10 @@ fn fail(message: impl std::fmt::Display) -> ! {
     std::process::exit(2)
 }
 
-fn parse_args() -> (usize, u64, Vec<usize>, bool) {
+fn parse_args() -> (usize, u64, Vec<usize>) {
     let mut trials = 20usize;
     let mut seed = 11u64;
     let mut etas = vec![0usize, 10, 50];
-    let mut legacy = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| {
@@ -63,11 +63,10 @@ fn parse_args() -> (usize, u64, Vec<usize>, bool) {
                     fail("--etas needs at least one channel length");
                 }
             }
-            "--legacy" => legacy = true,
             other => fail(format_args!("unknown option `{other}`")),
         }
     }
-    (trials, seed, etas, legacy)
+    (trials, seed, etas)
 }
 
 fn rows_from_campaign(etas: &[usize], trials: usize, seed: u64) -> Vec<BackendAblationRow> {
@@ -106,18 +105,14 @@ fn sweep_throughput(eta: usize, seed: u64, backend: BackendKind) -> f64 {
 }
 
 fn main() {
-    let (trials, seed, etas, legacy) = parse_args();
+    let (trials, seed, etas) = parse_args();
     bench::announce_parallelism();
     eprintln!(
         "sweeping η ∈ {etas:?} × {:?} × {:?} at {trials} trials (seed {seed})",
         ABLATION_ADVERSARIES,
         BackendKind::ALL.map(BackendKind::as_str),
     );
-    let rows = if legacy {
-        bench::backend_ablation_experiment(&etas, trials, seed)
-    } else {
-        rows_from_campaign(&etas, trials, seed)
-    };
+    let rows = rows_from_campaign(&etas, trials, seed);
 
     println!("# Backend ablation: exact emulation vs sampled trajectories vs pauli twirling\n");
     let cells: Vec<Vec<String>> = rows
@@ -200,10 +195,10 @@ fn main() {
 
     // The Pareto view: what each substrate pays in curve fidelity per unit
     // of honest-sweep speedup. Throughput is measured live (serial, at the
-    // grid's largest η), so this section is machine-dependent — the grid and
-    // divergence tables above are the deterministic part of the report.
+    // grid's largest η), so this section is machine-dependent and goes to
+    // stderr, keeping stdout deterministic.
     let pareto_eta = etas.iter().copied().max().unwrap_or(0);
-    println!("\n## Accuracy-vs-throughput Pareto (serial honest sweep at η={pareto_eta})\n");
+    eprintln!("\n## Accuracy-vs-throughput Pareto (serial honest sweep at η={pareto_eta})\n");
     let reference = sweep_throughput(pareto_eta, seed, BackendKind::DensityMatrix);
     let pareto: Vec<Vec<String>> = BackendKind::ALL
         .into_iter()
@@ -228,7 +223,7 @@ fn main() {
             ]
         })
         .collect();
-    println!(
+    eprintln!(
         "{}",
         render_markdown_table(
             &[

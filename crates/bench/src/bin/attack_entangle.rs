@@ -2,23 +2,22 @@
 //!
 //! Runs the checked-in `campaigns/attack_entangle.json` definition (rebuilt
 //! via [`bench::campaigns::attack_campaign`] when `--backend` overrides the
-//! stored substrate); pass `--legacy` to run the pre-campaign
-//! [`bench::channel_attack_experiment_on`] loop instead (CI byte-diffs the
-//! two).
+//! stored substrate).
 
 use analysis::report::render_markdown_table;
 use bench::campaigns::attack_experiment_rows;
 use bench::ChannelAttackKind;
 
 fn main() {
-    let (backend, legacy) = bench::backend_and_legacy_from_args();
+    let backend = bench::backend_from_args();
     bench::announce_parallelism();
     let (attacked, honest) =
-        attack_experiment_rows(ChannelAttackKind::EntangleMeasure, backend, 20, 17, legacy)
-            .unwrap_or_else(|e| {
+        attack_experiment_rows(ChannelAttackKind::EntangleMeasure, backend, 20, 17).unwrap_or_else(
+            |e| {
                 eprintln!("attack_entangle: {e}");
                 std::process::exit(2)
-            });
+            },
+        );
     println!("# Entangle-and-measure attack vs honest channel ({backend} backend)\n");
     let cells: Vec<Vec<String>> = [attacked, honest]
         .iter()

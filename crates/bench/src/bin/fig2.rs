@@ -1,40 +1,20 @@
 //! Regenerates Fig. 2: Bob's measurement outcomes for each 2-bit message sent over a channel
 //! of η = 10 noisy identity gates with 1024 shots on the ibm_brisbane-like noise model.
 //!
-//! The figure is a formatter over the checked-in `campaigns/fig2.json` definition; pass
-//! `--legacy` to run the pre-campaign hand-rolled loop instead (CI byte-diffs the two).
+//! The figure is a formatter over the checked-in `campaigns/fig2.json` definition.
 
 use analysis::report::render_markdown_table;
-use analysis::rows::HistogramRow;
 use bench::campaigns::{fig2_rows, figure_sampler, stored_campaign};
 use noise::DeviceModel;
 
-fn rows_from_campaign() -> Vec<HistogramRow> {
-    let campaign = stored_campaign("fig2").expect("fig2 campaign is checked in");
-    let report = campaign
-        .run_direct(bench::engine_parallelism(), &figure_sampler())
-        .expect("fig2 campaign runs");
-    fig2_rows(&report).expect("fig2 rows recover")
-}
-
 fn main() {
-    let mut legacy = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--legacy" => legacy = true,
-            other => {
-                eprintln!("unknown option `{other}` (supported: --legacy)");
-                std::process::exit(2)
-            }
-        }
-    }
-    bench::announce_parallelism();
+    let parallelism = bench::announce_parallelism();
     let device = DeviceModel::ibm_brisbane_like();
-    let rows = if legacy {
-        bench::fig2_experiment(&device, 10, 1024, 20240916)
-    } else {
-        rows_from_campaign()
-    };
+    let report = stored_campaign("fig2")
+        .expect("fig2 campaign is checked in")
+        .run_direct(parallelism, &figure_sampler())
+        .expect("fig2 campaign runs");
+    let rows = fig2_rows(&report).expect("fig2 rows recover");
     println!(
         "# Fig. 2 — Bob's decoded counts (η = 10, 1024 shots, {})\n",
         device.name()

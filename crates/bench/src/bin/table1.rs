@@ -5,37 +5,19 @@
 //! figure (a `protocol` unit test locks the planned arithmetic to the engine's live
 //! per-outcome accounting).
 //!
-//! The verification sessions run the checked-in `campaigns/table1.json` definition; pass
-//! `--legacy` to run the pre-campaign direct engine loop instead (CI byte-diffs the two).
+//! The verification sessions run the checked-in `campaigns/table1.json` definition.
 
 use analysis::report::render_markdown_table;
-use protocol::engine::NoSampler;
+use protocol::engine::{CampaignWorkload, NoSampler};
 use protocol::session::ResourceUsage;
-
-const TRIALS: usize = 4;
-const SEED: u64 = 20240916;
 
 fn fail(message: impl std::fmt::Display) -> ! {
     eprintln!("table1: {message}");
     std::process::exit(2)
 }
 
-fn parse_legacy_flag() -> bool {
-    let mut legacy = false;
-    for flag in std::env::args().skip(1) {
-        match flag.as_str() {
-            "--legacy" => legacy = true,
-            other => fail(format_args!(
-                "unknown option `{other}` (supported: --legacy)"
-            )),
-        }
-    }
-    legacy
-}
-
 fn main() {
-    let legacy = parse_legacy_flag();
-    bench::announce_parallelism();
+    let parallelism = bench::announce_parallelism();
     let rows = bench::table1_rows();
     let cells: Vec<Vec<String>> = rows
         .iter()
@@ -67,17 +49,16 @@ fn main() {
     // Cross-check the UA-DI-QSDC row against a live engine run: the honest
     // verification sessions must deliver, and the planned accounting must
     // reproduce the claimed qubits-per-message-bit figure.
-    let summary = if legacy {
-        bench::table1_verification_summary(TRIALS, SEED)
-    } else {
-        let report = bench::campaigns::stored_campaign("table1")
-            .expect("table1 campaign is checked in")
-            .run_direct(bench::engine_parallelism(), &NoSampler)
-            .unwrap_or_else(|e| fail(format_args!("campaign failed: {e}")));
-        bench::campaigns::table1_summary(&report).unwrap_or_else(|e| fail(e))
+    let campaign =
+        bench::campaigns::stored_campaign("table1").expect("table1 campaign is checked in");
+    let CampaignWorkload::Session { base } = &campaign.workload else {
+        fail("the table1 campaign must be a session campaign")
     };
-    let scenario = bench::table1_verification_scenario(SEED);
-    let planned = ResourceUsage::planned(&scenario.config, scenario.identities.qubit_len());
+    let planned = ResourceUsage::planned(&base.config, base.identities.qubit_len());
+    let report = campaign
+        .run_direct(parallelism, &NoSampler)
+        .unwrap_or_else(|e| fail(format_args!("campaign failed: {e}")));
+    let summary = bench::campaigns::table1_summary(&report).unwrap_or_else(|e| fail(e));
     let claimed = rows
         .iter()
         .find(|r| r.user_authentication)

@@ -1,15 +1,14 @@
 //! Stored [`Campaign`] definitions behind the figure binaries, and the
 //! [`Sampler`] that executes their circuit-level points.
 //!
-//! Each figure is now "a checked-in campaign plus a report formatter": the
+//! Each figure is "a checked-in campaign plus a report formatter": the
 //! builders here construct the exact campaigns stored under
 //! `crates/bench/campaigns/*.json` (a test locks the bytes), the
 //! [`figure_sampler`] executes the sampled kinds (`fig2-histogram`,
 //! `fig3-accuracy`), and the `*_rows` helpers recover each figure's row type
-//! from a [`CampaignReport`]. Driving the stored campaign reproduces the
-//! legacy hand-rolled loop bit-for-bit: sampled points seed their RNG with
-//! [`derive_seed`](crate::derive_seed) of the point index, exactly as the
-//! loops always have, and session campaigns plan under the master seed like
+//! from a [`CampaignReport`]. Sampled points seed their RNG with
+//! [`derive_seed`](crate::derive_seed) of the point index, and session
+//! campaigns plan under the master seed like
 //! [`SessionEngine::run_batch`](protocol::engine::SessionEngine::run_batch).
 
 use crate::{
@@ -102,15 +101,19 @@ fn ablation_adversaries() -> Vec<Adversary> {
     ]
 }
 
-/// The backend-ablation campaign: the session grid of
-/// [`backend_ablation_experiment`](crate::backend_ablation_experiment) —
-/// η × adversary × backend, last axis fastest — as a declarative sweep. Same
-/// identities, configuration, seed discipline and therefore the same bytes.
+/// The backend-ablation campaign: the Fig. 2/3 channel-length grid (`etas`
+/// identity gates on an `ibm_brisbane`-like device) for the honest control,
+/// intercept-resend and MITM adversaries on **every** production substrate —
+/// η × adversary × backend, last axis fastest — so consecutive points compare
+/// the exact density-matrix emulation against the cheaper substrates on an
+/// otherwise identical scenario.
 pub fn ablation_campaign(etas: &[usize], trials: usize, seed: u64) -> Campaign {
     let mut rng = StdRng::seed_from_u64(seed);
     let identities = IdentityPair::generate(4, &mut rng);
-    // The base carries η = 0; the Eta axis rebuilds the channel per point.
-    // Everything else matches `backend_ablation_experiment`'s config.
+    // The base carries η = 0; the Eta axis rebuilds the channel per point. A
+    // generous DI budget keeps honest aborts negligible, and the relaxed
+    // authentication tolerance lets the CHSH mechanism (not the auth
+    // mismatch) do the detecting.
     let config = SessionConfig::builder()
         .message_bits(8)
         .check_bits(2)
@@ -169,9 +172,7 @@ pub fn demo_campaign(trials: usize, seed: u64) -> Campaign {
     }
 }
 
-/// The engine adversary of one channel-attack kind — the same lowering
-/// [`channel_attack_experiment_on`](crate::channel_attack_experiment_on)
-/// applies.
+/// The engine adversary of one channel-attack kind.
 fn attack_adversary(kind: ChannelAttackKind) -> Adversary {
     match kind {
         ChannelAttackKind::InterceptResend => {
@@ -194,11 +195,9 @@ pub fn attack_campaign_name(kind: ChannelAttackKind) -> &'static str {
     }
 }
 
-/// One channel-attack campaign: the attacked scenario and its honest
-/// control, in the row order of
-/// [`channel_attack_experiment_on`](crate::channel_attack_experiment_on) —
-/// same identities, configuration and seed discipline, and therefore the
-/// same bytes.
+/// One channel-attack campaign: `trials` sessions against the attack `kind`
+/// on `backend`, then the honest (no-attack) control with the same
+/// configuration and identities.
 pub fn attack_campaign(
     kind: ChannelAttackKind,
     backend: BackendKind,
@@ -207,9 +206,9 @@ pub fn attack_campaign(
 ) -> Campaign {
     let mut rng = StdRng::seed_from_u64(seed);
     let identities = IdentityPair::generate(4, &mut rng);
-    // As in `channel_attack_experiment_on`: the relaxed authentication
-    // tolerance lets the second CHSH round (the paper's mechanism) do the
-    // detecting instead of the equally fatal auth mismatch.
+    // The relaxed authentication tolerance lets the second CHSH round (the
+    // paper's mechanism) do the detecting instead of the equally fatal auth
+    // mismatch that would fire first with a strict tolerance.
     let config = SessionConfig::builder()
         .message_bits(8)
         .check_bits(2)
@@ -231,9 +230,9 @@ pub fn attack_campaign(
     }
 }
 
-/// The single-point verification campaign behind the `table1` binary: the
-/// honest [`table1_verification_scenario`](crate::table1_verification_scenario)
-/// run under its historic seed.
+/// The single-point verification campaign behind the `table1` binary: honest
+/// ideal-channel sessions whose planned resource accounting the binary checks
+/// against the UA-DI-QSDC row of Table I.
 pub fn table1_campaign(trials: usize, seed: u64) -> Campaign {
     let mut rng = StdRng::seed_from_u64(seed);
     let identities = IdentityPair::generate(4, &mut rng);
@@ -402,9 +401,7 @@ pub fn stored_campaign(name: &str) -> Result<Campaign, String> {
 }
 
 /// Recovers the `(attacked, honest control)` row pair of a channel-attack
-/// campaign report, in the order
-/// [`channel_attack_experiment_on`](crate::channel_attack_experiment_on)
-/// returns them.
+/// campaign report.
 ///
 /// # Errors
 ///
@@ -424,18 +421,32 @@ pub fn attack_rows(report: &CampaignReport) -> Result<(AttackRow, AttackRow), St
             .summary
             .clone()
             .ok_or_else(|| format!("point {} carries no merged summary", point.index))?;
-        rows.push(crate::summary_to_row(summary));
+        rows.push(summary_to_row(summary));
     }
     let honest = rows.pop().expect("two rows");
     let attacked = rows.pop().expect("two rows");
     Ok((attacked, honest))
 }
 
+fn summary_to_row(summary: TrialSummary) -> AttackRow {
+    let detection_rate = summary.detection_rate();
+    AttackRow {
+        attack: if summary.adversary.is_empty() || summary.adversary == "honest" {
+            "honest (no attack)".into()
+        } else {
+            summary.adversary
+        },
+        trials: summary.trials,
+        delivered: summary.delivered,
+        detection_rate,
+        mean_chsh_round1: summary.mean_chsh_round1,
+        mean_chsh_round2: summary.mean_chsh_round2,
+    }
+}
+
 /// The row pair printed by one channel-attack binary: the stored campaign
 /// when the arguments match its checked-in defaults, a rebuilt campaign of
-/// the same shape otherwise, or — with `legacy` — the pre-campaign
-/// [`channel_attack_experiment_on`](crate::channel_attack_experiment_on)
-/// loop (CI byte-diffs the two paths).
+/// the same shape otherwise.
 ///
 /// # Errors
 ///
@@ -445,13 +456,7 @@ pub fn attack_experiment_rows(
     backend: BackendKind,
     trials: usize,
     seed: u64,
-    legacy: bool,
 ) -> Result<(AttackRow, AttackRow), String> {
-    if legacy {
-        return Ok(crate::channel_attack_experiment_on(
-            kind, backend, trials, seed,
-        ));
-    }
     let stored_defaults = match kind {
         ChannelAttackKind::InterceptResend => (20, 11),
         ChannelAttackKind::ManInTheMiddle => (20, 13),
@@ -487,9 +492,8 @@ pub fn table1_summary(report: &CampaignReport) -> Result<TrialSummary, String> {
     }
 }
 
-/// Recovers the backend-ablation rows from a campaign report, grid-major as
-/// [`backend_ablation_experiment`](crate::backend_ablation_experiment)
-/// returns them.
+/// Recovers the backend-ablation rows from a campaign report, grid-major
+/// (η, then adversary, then backend).
 ///
 /// # Errors
 ///
@@ -546,9 +550,7 @@ pub fn ablation_rows(report: &CampaignReport) -> Result<Vec<BackendAblationRow>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        backend_ablation_experiment, engine_parallelism, fig2_experiment, fig3_experiment,
-    };
+    use crate::engine_parallelism;
     use protocol::engine::{CampaignRun, CampaignRunOptions};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -628,115 +630,6 @@ mod tests {
     #[test]
     fn stored_campaign_rejects_unknown_names() {
         assert!(stored_campaign("fig9").is_err());
-    }
-
-    #[test]
-    fn fig2_campaign_reproduces_the_legacy_loop() {
-        let device = DeviceModel::ibm_brisbane_like();
-        let (eta, shots, seed) = (10, 64, 20240916);
-        let legacy = fig2_experiment(&device, eta, shots, seed);
-        let report = fig2_campaign(&device, eta, shots, seed)
-            .run_direct(engine_parallelism(), &figure_sampler())
-            .expect("fig2 campaign runs");
-        let rows = fig2_rows(&report).expect("fig2 rows recover");
-        assert_eq!(
-            serde::json::to_string(&rows),
-            serde::json::to_string(&legacy),
-            "campaign-driven fig2 must be byte-identical to the legacy loop"
-        );
-    }
-
-    #[test]
-    fn fig3_campaign_reproduces_the_legacy_loop() {
-        let device = DeviceModel::ibm_brisbane_like();
-        let (etas, shots, seed) = (vec![10, 50], 64, 424242);
-        let legacy = fig3_experiment(&device, &etas, shots, seed);
-        let report = fig3_campaign(&device, &etas, shots, seed)
-            .run_direct(engine_parallelism(), &figure_sampler())
-            .expect("fig3 campaign runs");
-        let points = fig3_points(&report).expect("fig3 points recover");
-        assert_eq!(
-            serde::json::to_string(&points),
-            serde::json::to_string(&legacy),
-            "campaign-driven fig3 must be byte-identical to the legacy loop"
-        );
-    }
-
-    #[test]
-    fn ablation_campaign_reproduces_the_legacy_grid() {
-        let (etas, trials, seed) = (vec![0], 3, 11);
-        let legacy = backend_ablation_experiment(&etas, trials, seed);
-        let report = ablation_campaign(&etas, trials, seed)
-            .run_direct(engine_parallelism(), &protocol::engine::NoSampler)
-            .expect("ablation campaign runs");
-        let rows = ablation_rows(&report).expect("ablation rows recover");
-        assert_eq!(rows, legacy);
-        for (campaign_row, legacy_row) in rows.iter().zip(&legacy) {
-            assert_eq!(
-                campaign_row.detection_rate.to_bits(),
-                legacy_row.detection_rate.to_bits()
-            );
-            assert_eq!(
-                campaign_row.mean_chsh_round2.map(f64::to_bits),
-                legacy_row.mean_chsh_round2.map(f64::to_bits)
-            );
-        }
-    }
-
-    #[test]
-    fn attack_campaigns_reproduce_the_legacy_loop() {
-        let trials = 5;
-        for (kind, seed) in [
-            (ChannelAttackKind::InterceptResend, 11),
-            (ChannelAttackKind::ManInTheMiddle, 13),
-            (ChannelAttackKind::EntangleMeasure, 17),
-        ] {
-            let (legacy_attacked, legacy_honest) =
-                crate::channel_attack_experiment_on(kind, BackendKind::default(), trials, seed);
-            let report = attack_campaign(kind, BackendKind::default(), trials, seed)
-                .run_direct(engine_parallelism(), &protocol::engine::NoSampler)
-                .expect("attack campaign runs");
-            let (attacked, honest) = attack_rows(&report).expect("attack rows recover");
-            assert_eq!(attacked, legacy_attacked, "{kind:?} attacked row diverged");
-            assert_eq!(honest, legacy_honest, "{kind:?} honest row diverged");
-            assert_eq!(
-                attacked.detection_rate.to_bits(),
-                legacy_attacked.detection_rate.to_bits()
-            );
-            assert_eq!(
-                attacked.mean_chsh_round2.map(f64::to_bits),
-                legacy_attacked.mean_chsh_round2.map(f64::to_bits)
-            );
-        }
-    }
-
-    #[test]
-    fn attack_campaign_respects_a_non_default_backend() {
-        let (kind, trials, seed) = (ChannelAttackKind::InterceptResend, 4, 11);
-        let legacy =
-            crate::channel_attack_experiment_on(kind, BackendKind::PauliTwirled, trials, seed);
-        let report = attack_campaign(kind, BackendKind::PauliTwirled, trials, seed)
-            .run_direct(engine_parallelism(), &protocol::engine::NoSampler)
-            .expect("attack campaign runs");
-        let rows = attack_rows(&report).expect("attack rows recover");
-        assert_eq!((rows.0, rows.1), legacy);
-    }
-
-    #[test]
-    fn table1_campaign_reproduces_the_legacy_run() {
-        let (trials, seed) = (2, 20240916);
-        let legacy = crate::table1_verification_summary(trials, seed);
-        let report = table1_campaign(trials, seed)
-            .run_direct(engine_parallelism(), &protocol::engine::NoSampler)
-            .expect("table1 campaign runs");
-        let summary = table1_summary(&report).expect("table1 summary recovers");
-        // Labels are display-only (the campaign names its point, the legacy
-        // scenario keeps its historic name); the physics must be identical.
-        let relabelled = TrialSummary {
-            label: legacy.label.clone(),
-            ..summary
-        };
-        assert_eq!(relabelled, legacy);
     }
 
     /// A scratch directory under the system temp dir, removed on drop.

@@ -12,24 +12,19 @@
 //!    bookkeeping growth (records, outcomes, summaries) cannot silently
 //!    regress back toward the pre-pool ~200 allocations/trial.
 //!
-//! The global counters are process-wide, so the tests serialise on a mutex.
+//! The counters are per thread, so each test measures only its own thread
+//! and the tests run concurrently like any others.
 
 use protocol::engine::{BackendKind, Parallelism, SessionEngine};
 use qchannel::epr::EprPair;
 use qchannel::quantum::QuantumChannel;
 use rand::SeedableRng;
-use std::sync::Mutex;
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator::new();
 
-/// Serialises the tests: the allocation counters are global, so concurrent
-/// tests would attribute each other's allocations.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
 #[test]
 fn compiled_kernel_loop_is_allocation_free_in_steady_state() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let scenario = bench::shard_io::demo_scenario("intercept", 7, BackendKind::default())
         .expect("demo scenario");
     let compiled = QuantumChannel::new(scenario.config.channel().clone()).compile();
@@ -57,11 +52,11 @@ fn compiled_kernel_loop_is_allocation_free_in_steady_state() {
         step(&mut pair, &mut rng);
     }
 
-    let before = alloc_counter::CountingAllocator::allocations();
-    for _ in 0..64 {
-        step(&mut pair, &mut rng);
-    }
-    let allocations = alloc_counter::CountingAllocator::allocations() - before;
+    let ((), allocations) = alloc_counter::CountingAllocator::measure(|| {
+        for _ in 0..64 {
+            step(&mut pair, &mut rng);
+        }
+    });
     assert_eq!(
         allocations, 0,
         "steady-state kernel loop allocated {allocations} times over 64 iterations"
@@ -70,7 +65,6 @@ fn compiled_kernel_loop_is_allocation_free_in_steady_state() {
 
 #[test]
 fn twirled_trial_loop_is_allocation_free_once_warm() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     // The η-sweep workload: 50 noisy identity gates on a brisbane-like
     // device, so both the emission and the convolved transmit distributions
     // are non-trivial — every emit and transmit below really samples a Pauli
@@ -100,11 +94,11 @@ fn twirled_trial_loop_is_allocation_free_once_warm() {
     // loop is pure integer/bitmask work and may not allocate at all.
     step(&mut pair, &mut rng);
 
-    let before = alloc_counter::CountingAllocator::allocations();
-    for _ in 0..256 {
-        step(&mut pair, &mut rng);
-    }
-    let allocations = alloc_counter::CountingAllocator::allocations() - before;
+    let ((), allocations) = alloc_counter::CountingAllocator::measure(|| {
+        for _ in 0..256 {
+            step(&mut pair, &mut rng);
+        }
+    });
     assert_eq!(
         allocations, 0,
         "warm twirled trial loop allocated {allocations} times over 256 iterations"
@@ -113,7 +107,6 @@ fn twirled_trial_loop_is_allocation_free_once_warm() {
 
 #[test]
 fn steady_state_trial_allocations_stay_bounded() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let scenario = bench::shard_io::demo_scenario("intercept", 7, BackendKind::default())
         .expect("demo scenario");
     let engine = SessionEngine::new(7).with_parallelism(Parallelism::Serial);
@@ -126,11 +119,9 @@ fn steady_state_trial_allocations_stay_bounded() {
     // outcome bookkeeping); the pre-pool kernels sat at ~207. The budget
     // leaves headroom for summary growth without letting the pools regress.
     const BUDGET_PER_TRIAL: u64 = 120;
-    let before = alloc_counter::CountingAllocator::allocations();
-    engine
-        .run_trials(&scenario, TRIALS)
-        .expect("measured trials");
-    let allocations = alloc_counter::CountingAllocator::allocations() - before;
+    let (summary, allocations) =
+        alloc_counter::CountingAllocator::measure(|| engine.run_trials(&scenario, TRIALS));
+    summary.expect("measured trials");
     let per_trial = allocations / TRIALS as u64;
     assert!(
         per_trial <= BUDGET_PER_TRIAL,

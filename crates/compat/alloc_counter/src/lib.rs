@@ -15,44 +15,46 @@
 //! #[global_allocator]
 //! static ALLOC: CountingAllocator = CountingAllocator::new();
 //!
-//! let before = CountingAllocator::allocations();
-//! hot_path();
-//! assert_eq!(CountingAllocator::allocations() - before, 0);
+//! let ((), allocations) = CountingAllocator::measure(|| hot_path());
+//! assert_eq!(allocations, 0);
 //! ```
+//!
+//! Counts are per thread: [`CountingAllocator::measure`] sees only the
+//! allocations of the thread that calls it, so the test harness's own
+//! threads (and concurrently running tests) never leak into a measurement.
 //!
 //! Only one `#[global_allocator]` may exist per binary, so tests that use
 //! this live in dedicated integration-test files, not unit-test modules.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls this thread made inside [`CountingAllocator::measure`],
+    /// or `None` while the thread is not measuring. Const-initialised and
+    /// drop-free, so the allocator can touch it without allocating.
+    static MEASURED: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
-/// A [`GlobalAlloc`] that forwards to the system allocator and counts every
-/// call. Counters are process-wide (all threads share them).
+/// A [`GlobalAlloc`] that forwards to the system allocator and counts the
+/// allocation calls of each thread inside [`CountingAllocator::measure`].
 pub struct CountingAllocator;
 
 impl CountingAllocator {
-    /// Creates the allocator (a zero-sized handle; the counters are static).
+    /// Creates the allocator (a zero-sized handle; the counters are
+    /// thread-local).
     pub const fn new() -> Self {
         CountingAllocator
     }
 
-    /// Total number of allocation calls so far.
-    pub fn allocations() -> u64 {
-        ALLOCATIONS.load(Ordering::Relaxed)
-    }
-
-    /// Total number of deallocation calls so far.
-    pub fn deallocations() -> u64 {
-        DEALLOCATIONS.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes requested from the allocator so far.
-    pub fn bytes_allocated() -> u64 {
-        BYTES_ALLOCATED.load(Ordering::Relaxed)
+    /// Runs `f` and returns its result with the number of allocation calls
+    /// the calling thread made while it ran. Allocations on other threads,
+    /// including threads `f` spawns, are not counted.
+    pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let outer = MEASURED.replace(Some(0));
+        let result = f();
+        let allocations = MEASURED.replace(outer).unwrap_or(0);
+        (result, allocations)
     }
 }
 
@@ -63,16 +65,21 @@ impl Default for CountingAllocator {
 }
 
 // SAFETY: all allocator calls forward verbatim to `System`, which upholds
-// the `GlobalAlloc` contract; the counter updates are side-effect-only.
+// the `GlobalAlloc` contract; the counter update touches only a drop-free
+// thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES_ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // `try_with` fails only while the thread's locals are torn down,
+        // when the thread is no longer measuring anyway.
+        let _ = MEASURED.try_with(|measured| {
+            if let Some(count) = measured.get() {
+                measured.set(Some(count + 1));
+            }
+        });
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }

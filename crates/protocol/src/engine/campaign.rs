@@ -53,7 +53,7 @@
 //! ```
 
 use super::parallel::scatter;
-use super::queue::{write_atomically, QueueError, ShardQueue};
+use super::queue::{write_atomically, QueueError, ShardQueue, WriteError};
 use super::shard::ShardOutput;
 use super::{fnv1a64, Adversary, BackendKind, Parallelism, Scenario, SessionEngine, TrialSummary};
 use crate::config::SessionConfig;
@@ -78,10 +78,6 @@ pub const WILSON_Z: f64 = 1.96;
 /// Derives the per-point seed stream of a campaign: point `index` of a
 /// campaign seeded with `master_seed` samples under
 /// `splitmix64(master_seed XOR index · 0xa24b_aed4_963e_e407)`.
-///
-/// This is the same derivation the figure binaries have always used for
-/// their per-panel RNGs, which is what lets a stored campaign reproduce the
-/// legacy hand-rolled loops bit-for-bit.
 pub fn derive_point_seed(master_seed: u64, index: u64) -> u64 {
     let mut state = master_seed ^ index.wrapping_mul(0xa24b_aed4_963e_e407);
     rand::splitmix64(&mut state)
@@ -820,6 +816,15 @@ impl fmt::Display for CampaignError {
     }
 }
 
+impl From<WriteError> for CampaignError {
+    fn from(WriteError { path, error }: WriteError) -> Self {
+        CampaignError::Io {
+            path,
+            message: error.to_string(),
+        }
+    }
+}
+
 impl std::error::Error for CampaignError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -988,8 +993,7 @@ impl CampaignRun {
         write_atomically(
             &campaign_path,
             serde::json::to_string(&run.campaign).as_bytes(),
-        )
-        .map_err(|error| CampaignError::Queue { index: 0, error })?;
+        )?;
         Ok(run)
     }
 
@@ -1157,11 +1161,7 @@ impl CampaignRun {
                     write_atomically(
                         &self.sample_path(point.index),
                         serde::json::to_string(&record).as_bytes(),
-                    )
-                    .map_err(|error| CampaignError::Queue {
-                        index: point.index,
-                        error,
-                    })?;
+                    )?;
                 }
             }
         }

@@ -1090,7 +1090,8 @@ impl ShardQueue {
         write_atomically(
             &self.checkpoint_path(),
             serde::json::to_string(checkpoint).as_bytes(),
-        )
+        )?;
+        Ok(())
     }
 }
 
@@ -1216,18 +1217,43 @@ fn validate_result_header(
     Ok(())
 }
 
+/// A failed [`write_atomically`], naming the file the OS refused.
+#[derive(Debug)]
+pub struct WriteError {
+    /// The temp file (when writing failed) or the target (when the rename
+    /// failed).
+    pub path: PathBuf,
+    /// The OS error.
+    pub error: std::io::Error,
+}
+
+impl From<WriteError> for QueueError {
+    fn from(WriteError { path, error }: WriteError) -> Self {
+        QueueError::Io {
+            path,
+            message: error.to_string(),
+        }
+    }
+}
+
 /// Writes `bytes` to `path` atomically: write a sibling temp file, then
-/// rename over the target. A crash at any instant leaves either the old file
-/// or the new one, never a torn write.
-pub(super) fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), QueueError> {
+/// rename over the target — the one persistence primitive of the queue,
+/// campaign and service spool. A process killed at any instant leaves either
+/// the old file or the new one, never a torn write. Nothing is fsync'd, so
+/// the guarantee covers process death, not power loss or a kernel crash.
+///
+/// # Errors
+///
+/// A [`WriteError`] naming the temp file or the target.
+pub fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), WriteError> {
     let tmp = path.with_extension("tmp");
-    fs::write(&tmp, bytes).map_err(|e| QueueError::Io {
+    fs::write(&tmp, bytes).map_err(|error| WriteError {
         path: tmp.clone(),
-        message: e.to_string(),
+        error,
     })?;
-    fs::rename(&tmp, path).map_err(|e| QueueError::Io {
+    fs::rename(&tmp, path).map_err(|error| WriteError {
         path: path.to_path_buf(),
-        message: e.to_string(),
+        error,
     })
 }
 
@@ -1283,6 +1309,17 @@ mod tests {
                 ClaimOutcome::Drained => break,
                 ClaimOutcome::Wait { .. } => unreachable!("single worker never waits"),
             }
+        }
+    }
+
+    #[test]
+    fn failed_atomic_write_names_the_file() {
+        // The directory is never created, so writing the temp file fails.
+        let dir = TempQueueDir::new("write-error");
+        let target = dir.0.join("checkpoint.json");
+        match QueueError::from(write_atomically(&target, b"{}").unwrap_err()) {
+            QueueError::Io { path, .. } => assert_eq!(path, target.with_extension("tmp")),
+            other => panic!("expected an I/O error, got {other:?}"),
         }
     }
 

@@ -203,7 +203,7 @@ pub enum Response {
     },
 }
 
-/// The durable record of an accepted job, written to
+/// The on-disk record of an accepted job, written to
 /// `spool/job-NNNNNNNNNN/job.json` before the job is acknowledged. A
 /// restarted server rescans the spool, reopens each manifest, and finishes
 /// every job that has no final result yet — byte-identically, because the

@@ -20,6 +20,7 @@
 //! the spool ([`Spool::scan`]), recovers the expired leases, and finishes
 //! every job byte-identically to an uninterrupted run.
 
+use protocol::engine::queue::{write_atomically, WriteError};
 use protocol::engine::{
     Campaign, CampaignError, CampaignReport, CampaignRun, CampaignWorkload, ClaimOutcome,
     QueueError, SessionEngine, ShardOutput, ShardPayload, ShardPlan, ShardQueue, SlotState,
@@ -92,6 +93,15 @@ impl std::error::Error for SpoolError {}
 impl From<QueueError> for SpoolError {
     fn from(error: QueueError) -> Self {
         SpoolError::Queue(error)
+    }
+}
+
+impl From<WriteError> for SpoolError {
+    fn from(WriteError { path, error }: WriteError) -> Self {
+        SpoolError::Io {
+            path,
+            message: error.to_string(),
+        }
     }
 }
 
@@ -440,7 +450,8 @@ impl Spool {
         write_atomically(
             &self.job_dir(id).join(CANCELLED_FILE),
             b"{\"cancelled\":true}",
-        )
+        )?;
+        Ok(())
     }
 
     /// Merges a complete job and writes its final `result.json`
@@ -574,18 +585,4 @@ fn reject_unservable(campaign: &Campaign) -> Result<(), SpoolError> {
                 .to_string(),
         }),
     }
-}
-
-/// Writes `bytes` to `path` atomically (write temp + rename), matching the
-/// queue's own crash model.
-fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), SpoolError> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, bytes).map_err(|e| SpoolError::Io {
-        path: tmp.clone(),
-        message: e.to_string(),
-    })?;
-    fs::rename(&tmp, path).map_err(|e| SpoolError::Io {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    })
 }

@@ -3,8 +3,20 @@
 //! paper's claims.
 
 use analysis::prelude::*;
+use bench::campaigns::{
+    attack_campaign, attack_rows, fig2_campaign, fig2_rows, fig3_campaign, fig3_points,
+    figure_sampler,
+};
 use noise::DeviceModel;
+use protocol::engine::{BackendKind, Campaign, CampaignReport};
 use protocol::session::Impersonation;
+
+/// Runs a campaign the way the figure binaries do.
+fn run(campaign: Campaign) -> CampaignReport {
+    campaign
+        .run_direct(bench::engine_parallelism(), &figure_sampler())
+        .expect("campaign runs")
+}
 
 #[test]
 fn table1_shape_matches_the_paper() {
@@ -26,7 +38,8 @@ fn table1_shape_matches_the_paper() {
 
 #[test]
 fn fig2_shape_high_fidelity_at_eta_10() {
-    let rows = bench::fig2_experiment(&DeviceModel::ibm_brisbane_like(), 10, 512, 101);
+    let campaign = fig2_campaign(&DeviceModel::ibm_brisbane_like(), 10, 512, 101);
+    let rows = fig2_rows(&run(campaign)).unwrap();
     assert_eq!(rows.len(), 4);
     for row in &rows {
         assert_eq!(row.shots, 512);
@@ -53,7 +66,8 @@ fn fig3_shape_monotone_decay_and_sixty_percent_crossing() {
     // Coarse version of the sweep: the accuracy decreases (roughly) with η, stays high at
     // η = 10 and lands in the vicinity of the paper's 60 % threshold by η = 700.
     let etas = [10usize, 200, 400, 700];
-    let points = bench::fig3_experiment(&DeviceModel::ibm_brisbane_like(), &etas, 384, 202);
+    let campaign = fig3_campaign(&DeviceModel::ibm_brisbane_like(), &etas, 384, 202);
+    let points = fig3_points(&run(campaign)).unwrap();
     assert_eq!(points.len(), 4);
     assert!(
         points[0].accuracy > 0.9,
@@ -90,8 +104,13 @@ fn impersonation_detection_curve_shape() {
 
 #[test]
 fn channel_attack_rows_shape() {
-    let (attacked, honest) =
-        bench::channel_attack_experiment(bench::ChannelAttackKind::ManInTheMiddle, 4, 404);
+    let campaign = attack_campaign(
+        bench::ChannelAttackKind::ManInTheMiddle,
+        BackendKind::DensityMatrix,
+        4,
+        404,
+    );
+    let (attacked, honest) = attack_rows(&run(campaign)).unwrap();
     assert_eq!(attacked.delivered, 0);
     assert_eq!(honest.delivered, 4);
     assert!(attacked.detection_rate > 0.99);
