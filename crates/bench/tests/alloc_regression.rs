@@ -7,7 +7,8 @@
 //!
 //! 1. the compiled emit/transmit/measure kernel loop is **allocation-free**
 //!    in steady state — exactly zero heap allocations per pair once the
-//!    thread-local pools and scratch buffers are warm;
+//!    thread-local pools, scratch buffers and memo tables are warm — on all
+//!    three substrates;
 //! 2. a whole engine trial stays under a per-trial allocation budget, so
 //!    bookkeeping growth (records, outcomes, summaries) cannot silently
 //!    regress back toward the pre-pool ~200 allocations/trial.
@@ -17,7 +18,7 @@
 
 use protocol::engine::{BackendKind, Parallelism, SessionEngine};
 use qchannel::epr::EprPair;
-use qchannel::quantum::QuantumChannel;
+use qchannel::quantum::{NoTap, QuantumChannel};
 use rand::SeedableRng;
 
 #[global_allocator]
@@ -102,6 +103,50 @@ fn twirled_trial_loop_is_allocation_free_once_warm() {
     assert_eq!(
         allocations, 0,
         "warm twirled trial loop allocated {allocations} times over 256 iterations"
+    );
+}
+
+#[test]
+fn statevector_trial_loop_is_allocation_free_once_warm() {
+    // The η-sweep workload on the trajectory substrate: every emission
+    // samples the source table and both state preps, every transmit
+    // extracts ψ from the pair, runs 50 gate + idle trajectory steps through
+    // the step memo, and writes ψψ† back into the pair's own buffer.
+    let scenario = bench::sweep_scenario(50, 7, BackendKind::Statevector);
+    let compiled = QuantumChannel::new(scenario.config.channel().clone()).compile();
+    let backend = BackendKind::Statevector.backend();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut pair = EprPair::ideal();
+    let angles = [
+        0.0,
+        std::f64::consts::FRAC_PI_4,
+        std::f64::consts::FRAC_PI_2,
+    ];
+
+    let step = |pair: &mut EprPair, rng: &mut rand::rngs::StdRng| {
+        for theta_a in angles {
+            for theta_b in angles {
+                backend.emit_pair_into(pair, &compiled, &mut NoTap, rng);
+                backend.transmit(&compiled, pair, &mut NoTap, rng);
+                pair.measure_both_in_bases(theta_a, theta_b, rng);
+            }
+        }
+    };
+
+    // Warm-up allocates the thread's trajectory state, the memo tables and
+    // the kernel scratch; after that neither memo hits nor misses allocate.
+    for _ in 0..8 {
+        step(&mut pair, &mut rng);
+    }
+
+    let ((), allocations) = alloc_counter::CountingAllocator::measure(|| {
+        for _ in 0..64 {
+            step(&mut pair, &mut rng);
+        }
+    });
+    assert_eq!(
+        allocations, 0,
+        "warm statevector trial loop allocated {allocations} times over 64 iterations"
     );
 }
 

@@ -22,9 +22,23 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 /// assert!(plus.is_normalized(1e-12));
 /// assert!((plus.probability(0) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Default, Serialize, Deserialize)]
 pub struct CVector {
     data: Vec<Complex64>,
+}
+
+impl Clone for CVector {
+    fn clone(&self) -> Self {
+        Self {
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s buffer when it is large
+    /// enough (see `clone_from` on `CMatrix`).
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl CVector {

@@ -36,7 +36,7 @@
 use crate::kraus::KrausChannel;
 use qsim::density::DensityMatrix;
 use qsim::error::QsimError;
-use qsim::kernel::CompiledKraus;
+use qsim::kernel::{BranchTable, CompiledKraus};
 use qsim::statevector::StateVector;
 use rand::Rng;
 use std::fmt;
@@ -132,6 +132,18 @@ impl CompiledChannel {
         rng: &mut R,
     ) -> Result<usize, QsimError> {
         self.kernel.sample(psi, rng)
+    }
+
+    /// Tabulates one trajectory step from the fixed input `psi`: sampling
+    /// the table is bit-identical to [`CompiledChannel::sample`] on `psi`,
+    /// without recomputing the branches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `psi` has a different register size than the placement
+    /// was compiled for.
+    pub fn branch_table(&self, psi: &StateVector) -> BranchTable {
+        self.kernel.branch_table(psi)
     }
 
     /// Applies one sampled trajectory step to a mixed state — bit-identical

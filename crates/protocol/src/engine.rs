@@ -95,8 +95,8 @@ use qchannel::taps::{
     SubstituteState,
 };
 use qsim::bell::BellState;
-use qsim::density::DensityMatrix;
 use qsim::pauli::Pauli;
+use qsim::statevector::StateVector;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
@@ -223,6 +223,14 @@ pub struct StatevectorBackend;
 /// extraction.
 const PURITY_TOL: f64 = 1e-9;
 
+thread_local! {
+    // The per-thread trajectory state the statevector backend evolves: each
+    // pair's ψ is extracted into it and written back to the pair's density
+    // buffer in place, so the warm trial loop never allocates.
+    static TRAJECTORY: std::cell::RefCell<StateVector> =
+        std::cell::RefCell::new(StateVector::new(2));
+}
+
 impl Backend for StatevectorBackend {
     fn name(&self) -> &str {
         "statevector"
@@ -234,24 +242,24 @@ impl Backend for StatevectorBackend {
         tap: &mut dyn ChannelTap,
         rng: &mut dyn RngCore,
     ) -> EprPair {
-        let mut psi = BellState::PhiPlus.statevector();
-        // The compiled placements exist exactly when the device is noisy, so
-        // the trajectory (and its RNG draws) matches the one-shot path.
-        if let Some(source) = channel.source() {
-            source
-                .sample(&mut psi, rng)
-                .expect("source-noise trajectory step on a normalised pair");
-        }
-        for prep in [channel.prep_alice(), channel.prep_bob()]
-            .into_iter()
-            .flatten()
-        {
-            prep.sample(&mut psi, rng)
-                .expect("state-prep trajectory step on a normalised pair");
-        }
-        let mut pair = EprPair::from_density(DensityMatrix::from_statevector(&psi));
-        channel.distribute_tapped(&mut pair, tap, rng);
+        let mut pair = EprPair::ideal();
+        self.emit_pair_into(&mut pair, channel, tap, rng);
         pair
+    }
+
+    fn emit_pair_into(
+        &self,
+        slot: &mut EprPair,
+        channel: &CompiledQuantumChannel,
+        tap: &mut dyn ChannelTap,
+        rng: &mut dyn RngCore,
+    ) {
+        TRAJECTORY.with(|cell| {
+            let psi = &mut *cell.borrow_mut();
+            channel.emit_trajectory_into(psi, rng);
+            slot.set_pure(psi);
+        });
+        channel.distribute_tapped(slot, tap, rng);
     }
 
     fn transmit(
@@ -273,26 +281,29 @@ impl Backend for StatevectorBackend {
             return;
         }
         let idle = channel.idle_bob();
-        if let Some(mut psi) = pair.density().as_pure_state(PURITY_TOL) {
-            for _ in 0..spec.length() {
-                gate.sample(&mut psi, rng)
-                    .expect("gate-noise trajectory step on a normalised pair");
-                if let Some(idle) = idle {
-                    idle.sample(&mut psi, rng)
-                        .expect("idle-noise trajectory step on a normalised pair");
+        TRAJECTORY.with(|cell| {
+            let psi = &mut *cell.borrow_mut();
+            if pair.density().pure_state_into(PURITY_TOL, psi) {
+                for _ in 0..spec.length() {
+                    gate.sample(psi, rng)
+                        .expect("gate-noise trajectory step on a normalised pair");
+                    if let Some(idle) = idle {
+                        idle.sample(psi, rng)
+                            .expect("idle-noise trajectory step on a normalised pair");
+                    }
+                }
+                pair.set_pure(psi);
+            } else {
+                for _ in 0..spec.length() {
+                    gate.sample_density(pair.density_mut(), rng)
+                        .expect("gate-noise trajectory step on a unit-trace pair");
+                    if let Some(idle) = idle {
+                        idle.sample_density(pair.density_mut(), rng)
+                            .expect("idle-noise trajectory step on a unit-trace pair");
+                    }
                 }
             }
-            *pair = EprPair::from_density(DensityMatrix::from_statevector(&psi));
-        } else {
-            for _ in 0..spec.length() {
-                gate.sample_density(pair.density_mut(), rng)
-                    .expect("gate-noise trajectory step on a unit-trace pair");
-                if let Some(idle) = idle {
-                    idle.sample_density(pair.density_mut(), rng)
-                        .expect("idle-noise trajectory step on a unit-trace pair");
-                }
-            }
-        }
+        });
     }
 }
 

@@ -17,11 +17,26 @@
 //!
 //! Compiled form is derived state: it is intentionally not serialisable and
 //! is rebuilt from the (serialisable) [`ChannelSpec`] wherever needed.
+//!
+//! Work that never changes is done at compile time, and work that repeats
+//! is memoised, both without changing a bit:
+//!
+//! - density-matrix emission applies source and prep noise to the same
+//!   `|Φ+⟩` with no RNG, so the emitted state is computed once and copied;
+//! - the trajectory emission's first step (the 16-branch source channel
+//!   from `|Φ+⟩`) is tabulated once ([`qsim::kernel::BranchTable`]);
+//! - the η-gate density transmit chain is a pure function of the input's
+//!   bits, and the inputs repeat (honest pairs arrive as the four Pauli
+//!   images of the emitted state), so it runs through the per-thread
+//!   exact-input memo of [`qsim::kernel::memoize_density_map`].
 
 use crate::epr::{EprPair, ALICE_QUBIT, BOB_QUBIT};
 use crate::quantum::{ChannelSpec, ChannelTap};
 use noise::compiled::CompiledChannel;
 use noise::twirl::{PauliDistribution, TwirledChannel};
+use qsim::bell::BellState;
+use qsim::kernel::{memoize_density_map, next_memo_owner, BranchTable};
+use qsim::statevector::StateVector;
 use rand::Rng;
 use rand::RngCore;
 use std::fmt;
@@ -144,6 +159,16 @@ pub struct CompiledQuantumChannel {
     /// The Pauli-twirled lowering of the placements above, for the
     /// stabilizer backend. Always present (trivial for ideal channels).
     twirled: TwirledProgram,
+    /// The density-matrix emission, computed once: source, prep A and
+    /// prep B applied to `|Φ+⟩`.
+    emitted: EprPair,
+    /// `|Φ+⟩`, the trajectory emission's starting state.
+    phi_plus: StateVector,
+    /// The source noise's trajectory step from `|Φ+⟩`, tabulated once.
+    source_step: Option<BranchTable>,
+    /// This channel's identity in the transmit memo (shared by clones,
+    /// which transmit identically).
+    memo_owner: u64,
 }
 
 impl CompiledQuantumChannel {
@@ -170,6 +195,12 @@ impl CompiledQuantumChannel {
                 }),
             )
         };
+        let mut emitted = EprPair::ideal();
+        for placement in [&source, &prep_alice, &prep_bob].into_iter().flatten() {
+            placement.apply(emitted.density_mut());
+        }
+        let phi_plus = BellState::PhiPlus.statevector();
+        let source_step = source.as_ref().map(|s| s.branch_table(&phi_plus));
         let mut channel = Self {
             spec,
             source,
@@ -183,6 +214,10 @@ impl CompiledQuantumChannel {
                 placements: Vec::new(),
                 exact: true,
             },
+            emitted,
+            phi_plus,
+            source_step,
+            memo_owner: next_memo_owner(),
         };
         channel.twirled = TwirledProgram::new(&channel);
         channel
@@ -252,33 +287,52 @@ impl CompiledQuantumChannel {
     /// rebuilding the source channels per call.
     pub fn emit_noisy_pair(&self) -> EprPair {
         let mut pair = EprPair::ideal();
-        self.apply_emission_noise(&mut pair);
+        self.emit_noisy_pair_into(&mut pair);
         pair
     }
 
     /// Emits one pair into `pair`, reusing its buffers: the allocation-free
     /// form of [`CompiledQuantumChannel::emit_noisy_pair`] for pooled pairs.
     /// Whatever state `pair` held before is discarded.
+    ///
+    /// Emission is deterministic, so this copies the state computed once at
+    /// compile time.
     pub fn emit_noisy_pair_into(&self, pair: &mut EprPair) {
-        pair.reset_ideal();
-        self.apply_emission_noise(pair);
+        pair.clone_from(&self.emitted);
     }
 
-    fn apply_emission_noise(&self, pair: &mut EprPair) {
-        if let Some(source) = &self.source {
-            source.apply(pair.density_mut());
+    /// Emits one pair as a sampled pure-state trajectory into `psi`:
+    /// `|Φ+⟩` through one Born-sampled step of the source noise and of each
+    /// state prep, one `f64` drawn per step — bit-identical to sampling
+    /// [`CompiledChannel::sample`] on each placement in turn. The source
+    /// step comes from the compile-time table. Whatever `psi` held before
+    /// is discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `psi` is not a 2-qubit state.
+    pub fn emit_trajectory_into<R: Rng + ?Sized>(&self, psi: &mut StateVector, rng: &mut R) {
+        match &self.source_step {
+            Some(step) => {
+                step.sample_into(psi, rng)
+                    .expect("source-noise trajectory step on a normalised pair");
+            }
+            None => psi.clone_from(&self.phi_plus),
         }
-        if let Some(prep) = &self.prep_alice {
-            prep.apply(pair.density_mut());
-        }
-        if let Some(prep) = &self.prep_bob {
-            prep.apply(pair.density_mut());
+        for prep in [&self.prep_alice, &self.prep_bob].into_iter().flatten() {
+            prep.sample(psi, rng)
+                .expect("state-prep trajectory step on a normalised pair");
         }
     }
 
     /// Transmits Alice's half of `pair` to Bob — bit-identical to
     /// [`QuantumChannel::transmit`](crate::quantum::QuantumChannel::transmit), without rebuilding the gate/idle
     /// channels per call.
+    ///
+    /// The η-gate chain is a pure function of the pair's bits and draws no
+    /// randomness, so it runs through the thread's exact-input memo: a pair
+    /// this channel has already transmitted (bit for bit) gets the stored
+    /// result.
     pub fn transmit<R: RngCore + ?Sized>(&self, pair: &mut EprPair, _rng: &mut R) {
         let Some(gate) = &self.gate_alice else {
             return;
@@ -286,12 +340,14 @@ impl CompiledQuantumChannel {
         if self.spec.length() == 0 {
             return;
         }
-        for _ in 0..self.spec.length() {
-            gate.apply(pair.density_mut());
-            if let Some(idle) = &self.idle_bob {
-                idle.apply(pair.density_mut());
+        memoize_density_map(self.memo_owner, pair.density_mut(), |rho| {
+            for _ in 0..self.spec.length() {
+                gate.apply(rho);
+                if let Some(idle) = &self.idle_bob {
+                    idle.apply(rho);
+                }
             }
-        }
+        });
     }
 
     /// Transmits with an eavesdropper tap attached: the tap's
@@ -389,6 +445,57 @@ mod tests {
             pair_bits(&compiled.emit_noisy_pair()),
             pair_bits(&EprPair::from_noisy_source(&device))
         );
+    }
+
+    #[test]
+    fn interleaved_channels_transmit_fresh_bits_from_the_memo() {
+        use qsim::pauli::Pauli;
+        let device = DeviceModel::ibm_brisbane_like();
+        let channels: Vec<QuantumChannel> = [10, 50]
+            .into_iter()
+            .map(|eta| QuantumChannel::new(ChannelSpec::noisy_identity_chain(eta, device.clone())))
+            .collect();
+        let compiled: Vec<CompiledQuantumChannel> =
+            channels.iter().map(QuantumChannel::compile).collect();
+        // The honest inputs: the four Pauli images of the emitted state.
+        let inputs: Vec<EprPair> = Pauli::ALL
+            .into_iter()
+            .map(|pauli| {
+                let mut pair = EprPair::from_noisy_source(&device);
+                pair.apply_alice_pauli(pauli);
+                pair
+            })
+            .collect();
+        // Alternate η = 10 and η = 50 on one thread, revisiting every input
+        // so the later rounds are memo hits.
+        for _ in 0..3 {
+            for input in &inputs {
+                for (fast_channel, slow_channel) in compiled.iter().zip(&channels) {
+                    let (mut fast, mut slow) = (input.clone(), input.clone());
+                    fast_channel.transmit(&mut fast, &mut rng());
+                    slow_channel.transmit(&mut slow, &mut rng());
+                    assert_eq!(pair_bits(&fast), pair_bits(&slow));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn emission_into_a_used_pair_is_the_compile_time_constant() {
+        let device = DeviceModel::ibm_brisbane_like();
+        let compiled =
+            QuantumChannel::new(ChannelSpec::noisy_identity_chain(10, device.clone())).compile();
+        let mut pair = EprPair::ideal();
+        pair.reset_frame_ideal();
+        for _ in 0..3 {
+            compiled.emit_noisy_pair_into(&mut pair);
+            assert!(!pair.is_frame_tracked());
+            assert_eq!(
+                pair_bits(&pair),
+                pair_bits(&EprPair::from_noisy_source(&device))
+            );
+            compiled.transmit(&mut pair, &mut rng());
+        }
     }
 
     #[test]

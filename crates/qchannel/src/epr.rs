@@ -249,6 +249,18 @@ impl EprPair {
         &mut self.rho
     }
 
+    /// Overwrites this pair with the pure state `|ψ⟩⟨ψ|` in place: the
+    /// allocation-free form of
+    /// `EprPair::from_density(DensityMatrix::from_statevector(psi))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `psi` is not a 2-qubit state.
+    pub fn set_pure(&mut self, psi: &StateVector) {
+        self.frame = None;
+        self.rho.set_pure(psi);
+    }
+
     /// Consumes the pair and returns the density matrix.
     pub fn into_density(mut self) -> DensityMatrix {
         self.density_mut();

@@ -193,8 +193,52 @@ impl DensityMatrix {
     }
 
     /// Purity `Tr(ρ²)`; 1 for pure states, `1/2^n` for the maximally mixed state.
+    ///
+    /// Computed without materialising `ρ²`: each diagonal entry of the
+    /// product accumulates exactly as [`CMatrix::matmul`] accumulates it
+    /// (ascending `k`, zero left factors skipped), and the entries are
+    /// summed as [`CMatrix::trace`] sums them, so the value is bit-identical
+    /// to `self.matrix().matmul(self.matrix()).trace().re`.
     pub fn purity(&self) -> f64 {
-        self.rho.matmul(&self.rho).trace().re
+        let dim = self.dim();
+        let mut trace = Complex64::ZERO;
+        for i in 0..dim {
+            let mut entry = Complex64::ZERO;
+            for k in 0..dim {
+                let aik = self.rho[(i, k)];
+                if aik == Complex64::ZERO {
+                    continue;
+                }
+                entry += aik * self.rho[(k, i)];
+            }
+            trace += entry;
+        }
+        trace.re
+    }
+
+    /// Overwrites this state with `|ψ⟩⟨ψ|` in place — the allocation-free
+    /// form of [`DensityMatrix::from_statevector`], with the same entries
+    /// bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `psi` has a different register size.
+    pub fn set_pure(&mut self, psi: &StateVector) {
+        assert_eq!(
+            psi.num_qubits(),
+            self.num_qubits,
+            "a {}-qubit state cannot hold a {}-qubit pure state",
+            self.num_qubits,
+            psi.num_qubits()
+        );
+        let amplitudes = psi.amplitudes().as_slice();
+        let dim = amplitudes.len();
+        let entries = self.rho.as_mut_slice();
+        for (i, &a) in amplitudes.iter().enumerate() {
+            for (j, &b) in amplitudes.iter().enumerate() {
+                entries[i * dim + j] = a * b.conj();
+            }
+        }
     }
 
     /// Applies a unitary to the given qubits: `ρ → U ρ U†`.
@@ -479,8 +523,28 @@ impl DensityMatrix {
     /// phase is fixed by the column used for extraction and is physically
     /// irrelevant.
     pub fn as_pure_state(&self, tol: f64) -> Option<StateVector> {
+        let mut psi = StateVector::new(self.num_qubits);
+        self.pure_state_into(tol, &mut psi).then_some(psi)
+    }
+
+    /// [`DensityMatrix::as_pure_state`] into an existing register, without
+    /// allocating: writes the extracted `|ψ⟩` into `psi` and returns `true`
+    /// for a pure state; returns `false` and leaves `psi` untouched for a
+    /// mixed one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `psi` has a different register size.
+    pub fn pure_state_into(&self, tol: f64, psi: &mut StateVector) -> bool {
+        assert_eq!(
+            psi.num_qubits(),
+            self.num_qubits,
+            "a {}-qubit pure state cannot be extracted into a {}-qubit register",
+            self.num_qubits,
+            psi.num_qubits()
+        );
         if (self.purity() - 1.0).abs() > tol {
-            return None;
+            return false;
         }
         // For ρ = |ψ⟩⟨ψ| the column j equals ψ · ψ_j*, so the column under
         // the largest diagonal entry, renormalised, recovers ψ up to phase.
@@ -494,12 +558,24 @@ impl DensityMatrix {
                 best = i;
             }
         }
-        let column = mathkit::vector::CVector::new((0..dim).map(|r| self.rho[(r, best)]).collect());
-        let norm = column.norm();
+        let column = |r: usize| self.rho[(r, best)];
+        let norm = (0..dim).map(|r| column(r).norm_sqr()).sum::<f64>().sqrt();
         if !norm.is_finite() || norm <= StateVector::MIN_NORM {
-            return None;
+            return false;
         }
-        StateVector::from_amplitudes(column.scale(Complex64::real(1.0 / norm))).ok()
+        // The normalisation check of `StateVector::from_amplitudes`, on the
+        // scaled column it would receive.
+        let factor = Complex64::real(1.0 / norm);
+        let scaled_norm_sqr = (0..dim)
+            .map(|r| (column(r) * factor).norm_sqr())
+            .sum::<f64>();
+        if !mathkit::approx::approx_eq(scaled_norm_sqr, 1.0, 1e-8) {
+            return false;
+        }
+        for (r, amplitude) in psi.amplitudes_mut().as_mut_slice().iter_mut().enumerate() {
+            *amplitude = column(r) * factor;
+        }
+        true
     }
 
     fn validate_targets(&self, op: &CMatrix, qubits: &[usize]) -> Result<(), QsimError> {
@@ -957,6 +1033,96 @@ mod tests {
         assert!((rho.trace() - 1.0).abs() < 1e-12);
         assert!((rho.purity() - 1.0).abs() < 1e-12);
         assert!((rho.probabilities()[0] - 1.0).abs() < 1e-12);
+    }
+
+    fn entry_bits(rho: &DensityMatrix) -> Vec<(u64, u64)> {
+        rho.matrix()
+            .as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    /// Pure, mixed and nearly pure 2-qubit states with structure everywhere.
+    fn sample_states() -> Vec<DensityMatrix> {
+        let mut states = Vec::new();
+        for theta in [0.0, 0.3, 1.1, 2.9] {
+            let mut rho = bell_density();
+            rho.apply_single(&gates::rx(theta), 1);
+            rho.apply_single(&gates::ry(0.7 * theta), 0);
+            states.push(rho.clone());
+            rho.apply_kraus(
+                &[
+                    CMatrix::identity(2).scale(Complex64::real(0.99f64.sqrt())),
+                    gates::pauli_x().scale(Complex64::real(0.01f64.sqrt())),
+                ],
+                &[0],
+            );
+            states.push(rho);
+        }
+        states.push(DensityMatrix::maximally_mixed(2));
+        states
+    }
+
+    #[test]
+    fn purity_is_bit_identical_to_the_materialised_square() {
+        for rho in sample_states() {
+            let square = rho.matrix().matmul(rho.matrix()).trace().re;
+            assert_eq!(rho.purity().to_bits(), square.to_bits());
+        }
+    }
+
+    #[test]
+    fn pure_state_extraction_replays_the_column_formula_bitwise() {
+        for rho in sample_states() {
+            // The formula the extraction replays: the column under the
+            // largest diagonal entry, normalised as a `CVector`, validated by
+            // `StateVector::from_amplitudes`.
+            let expected = ((rho.purity() - 1.0).abs() <= 1e-9)
+                .then(|| {
+                    let dim = rho.dim();
+                    let best = (0..dim).fold(0, |best, i| {
+                        if rho.rho[(i, i)].re > rho.rho[(best, best)].re {
+                            i
+                        } else {
+                            best
+                        }
+                    });
+                    let column = mathkit::vector::CVector::new(
+                        (0..dim).map(|r| rho.rho[(r, best)]).collect(),
+                    );
+                    let norm = column.norm();
+                    StateVector::from_amplitudes(column.scale(Complex64::real(1.0 / norm))).ok()
+                })
+                .flatten();
+            let mut psi = StateVector::new(2);
+            let untouched = psi.clone();
+            let pure = rho.pure_state_into(1e-9, &mut psi);
+            match expected {
+                Some(expected) => {
+                    assert!(pure);
+                    assert_eq!(psi.amplitudes(), expected.amplitudes());
+                    let bits = |s: &StateVector| -> Vec<(u64, u64)> {
+                        s.amplitudes()
+                            .iter()
+                            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(&psi), bits(&expected));
+                    // And the in-place write-back replays `from_statevector`.
+                    let mut written = DensityMatrix::maximally_mixed(2);
+                    written.set_pure(&psi);
+                    assert_eq!(
+                        entry_bits(&written),
+                        entry_bits(&DensityMatrix::from_statevector(&psi))
+                    );
+                }
+                None => {
+                    assert!(!pure);
+                    assert_eq!(psi, untouched);
+                }
+            }
+        }
     }
 
     #[test]

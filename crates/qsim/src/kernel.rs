@@ -33,6 +33,28 @@
 //! hot loop gets an order of magnitude faster. The sampled kernels consume
 //! exactly one `f64` from the RNG per step, like their legacy counterparts,
 //! so trial RNG streams stay aligned too.
+//!
+//! # Exact-input memo
+//!
+//! A kernel is a pure function of its input's bits, and the protocol's
+//! inputs repeat: every honest pair leaves the source in one of a handful of
+//! states, and a trajectory's likeliest branch sequence is the same pair
+//! after pair. Two per-thread, fixed-size memos exploit that, each keyed by
+//! an owner identity ([`next_memo_owner`]) plus the exact bits of the input
+//! (`+0.0` and `-0.0` are different keys):
+//!
+//! - [`CompiledKraus::sample`] caches each dim-4 step's branch-probability
+//!   vector. A hit skips computing every branch: it draws its one `f64`
+//!   through the same `sample_branch_index`, recomputes only the selected
+//!   branch `K_i|ψ⟩` with the same operations, and renormalises it the same
+//!   way, so it returns exactly the bits — and leaves exactly the RNG
+//!   stream — that the full computation would.
+//! - [`memoize_density_map`] caches the result of any deterministic
+//!   in-place map of a 2-qubit density matrix (the whole η-gate transmit
+//!   chain, for one).
+//!
+//! [`BranchTable`] is the compile-time form of the same idea for a step
+//! whose input never changes.
 
 use crate::density::{embed_operator, DensityMatrix};
 use crate::error::QsimError;
@@ -41,6 +63,7 @@ use mathkit::complex::Complex64;
 use mathkit::matrix::CMatrix;
 use rand::Rng;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One Kraus operator, preprocessed for both the density and statevector
 /// kernels.
@@ -88,6 +111,9 @@ pub struct CompiledKraus {
     /// (the OR-accumulated shifts of the legacy gather/scatter loops).
     offsets: Vec<usize>,
     ops: Vec<CompiledOp>,
+    /// This kernel's identity in the trajectory-step memo (shared by
+    /// clones, which compute the same function).
+    memo_owner: u64,
 }
 
 /// Reusable per-thread scratch for every compiled kernel: first use grows
@@ -110,6 +136,258 @@ struct Scratch {
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    static STEP_MEMO: RefCell<ExactMemo<8, STEP_MEMO_SLOTS, [f64; MEMO_BRANCHES]>> =
+        RefCell::new(ExactMemo::default());
+    static DENSITY_MEMO: RefCell<ExactMemo<32, DENSITY_MEMO_SLOTS, [Complex64; 16]>> =
+        RefCell::new(ExactMemo::default());
+}
+
+/// Most branches a memoised trajectory step may have: every dim-4
+/// placement of the paper's channels (the 16-operator noisy identity gate
+/// and two-qubit source channel included).
+const MEMO_BRANCHES: usize = 16;
+
+/// Slots of the per-thread trajectory-step memo: 256 slots of 200 bytes,
+/// 50 KiB per thread. Larger tables raise the hit rate a little and the
+/// process's peak RSS more: every short-lived executor thread allocates its
+/// own.
+const STEP_MEMO_SLOTS: usize = 256;
+
+/// Slots of the per-thread density-map memo: 32 slots of 520 bytes, 16 KiB
+/// per thread.
+const DENSITY_MEMO_SLOTS: usize = 32;
+
+// Both memos together stay inside the 256 KiB per-thread budget.
+const _: () = assert!(
+    STEP_MEMO_SLOTS * std::mem::size_of::<MemoSlot<8, [f64; MEMO_BRANCHES]>>()
+        + DENSITY_MEMO_SLOTS * std::mem::size_of::<MemoSlot<32, [Complex64; 16]>>()
+        <= 256 * 1024
+);
+
+static NEXT_MEMO_OWNER: AtomicU64 = AtomicU64::new(1);
+
+/// A fresh memo identity. Every compiled kernel and every compiled program
+/// that memoises on top of kernels takes one, so entries of two different
+/// functions can never alias; `0` is never handed out and marks an empty
+/// slot.
+pub fn next_memo_owner() -> u64 {
+    NEXT_MEMO_OWNER.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A fixed-size, two-way set-associative cache for a pure function of an
+/// exact bit pattern: `N` slots, each keyed by an owner identity (see
+/// [`next_memo_owner`]) plus `W` input words, and holding one `V`.
+///
+/// Keys compare by bits, so two inputs share a slot's value only when they
+/// are bit-for-bit equal — a hit is exactly the value the function would
+/// compute. A key maps to one set of two slots, kept in recency order: a
+/// hit on the older slot swaps it to the front, and an insert evicts the
+/// older one. The slots are allocated once, on first use; nothing else is
+/// ever allocated.
+#[derive(Debug)]
+struct ExactMemo<const W: usize, const N: usize, V> {
+    slots: Vec<MemoSlot<W, V>>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct MemoSlot<const W: usize, V> {
+    owner: u64,
+    key: [u64; W],
+    value: V,
+}
+
+impl<const W: usize, V> MemoSlot<W, V> {
+    fn holds(&self, owner: u64, key: &[u64; W]) -> bool {
+        self.owner == owner && self.key == *key
+    }
+}
+
+impl<const W: usize, const N: usize, V> Default for ExactMemo<W, N, V> {
+    fn default() -> Self {
+        Self {
+            slots: Vec::default(),
+        }
+    }
+}
+
+impl<const W: usize, const N: usize, V: Copy + Default> ExactMemo<W, N, V> {
+    /// The value stored for `(owner, key)`, if its set holds it.
+    fn get(&mut self, owner: u64, key: &[u64; W]) -> Option<&V> {
+        let set = set_index(owner, key, N / 2) * 2;
+        let ways = self.slots.get_mut(set..set + 2)?;
+        if !ways[0].holds(owner, key) {
+            if !ways[1].holds(owner, key) {
+                return None;
+            }
+            ways.swap(0, 1);
+        }
+        Some(&ways[0].value)
+    }
+
+    /// Stores `value` for `(owner, key)` at the front of its set, evicting
+    /// the set's older entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `owner` is `0` (the empty-slot marker).
+    fn insert(&mut self, owner: u64, key: &[u64; W], value: V) {
+        assert_ne!(owner, 0, "memo owner 0 marks an empty slot");
+        if self.slots.is_empty() {
+            let empty = MemoSlot {
+                owner: 0,
+                key: [0; W],
+                value: V::default(),
+            };
+            self.slots.resize(N, empty);
+        }
+        let set = set_index(owner, key, N / 2) * 2;
+        self.slots[set + 1] = self.slots[set];
+        self.slots[set] = MemoSlot {
+            owner,
+            key: *key,
+            value,
+        };
+    }
+}
+
+/// The set of `(owner, key)` among `sets`: a multiplicative hash of every
+/// word, mapped onto `0..sets` by its high bits.
+#[inline]
+fn set_index<const W: usize>(owner: u64, key: &[u64; W], sets: usize) -> usize {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = owner.wrapping_mul(K);
+    for &word in key {
+        h = (h.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+    ((u128::from(h) * sets as u128) >> 64) as usize
+}
+
+/// The exact bits of `W / 2` complex entries, `(re, im)` in order.
+#[inline]
+fn exact_bits<const W: usize>(entries: &[Complex64]) -> [u64; W] {
+    let mut key = [0u64; W];
+    for (pair, z) in key.chunks_exact_mut(2).zip(entries) {
+        pair[0] = z.re.to_bits();
+        pair[1] = z.im.to_bits();
+    }
+    key
+}
+
+/// Applies `map` to a 2-qubit `rho` in place through the thread's
+/// density-map memo.
+///
+/// `map` must be a pure function of the input's bits, and `owner` (see
+/// [`next_memo_owner`]) must name that function alone: the memo returns the
+/// stored result of an earlier `(owner, input)` call instead of running
+/// `map` again. On a miss `map` runs on `rho` itself, unchanged, and its
+/// result is stored. Registers of other sizes always run `map`.
+///
+/// # Panics
+///
+/// Panics if `map` re-enters this function, or if `owner` is `0`.
+pub fn memoize_density_map(
+    owner: u64,
+    rho: &mut DensityMatrix,
+    map: impl FnOnce(&mut DensityMatrix),
+) {
+    if rho.dim() != 4 {
+        map(rho);
+        return;
+    }
+    let key = exact_bits::<32>(rho.matrix().as_slice());
+    DENSITY_MEMO.with(|cell| {
+        let memo = &mut *cell.borrow_mut();
+        if let Some(result) = memo.get(owner, &key) {
+            rho.matrix_mut().as_mut_slice().copy_from_slice(result);
+            return;
+        }
+        map(rho);
+        let mut result = [Complex64::ZERO; 16];
+        result.copy_from_slice(rho.matrix().as_slice());
+        memo.insert(owner, &key, result);
+    });
+}
+
+/// Born-samples one branch index from the branch probabilities and returns
+/// it with its renormalisation factor — one `f64` drawn, exactly as
+/// [`StateVector::apply_kraus_sampled`] draws it.
+///
+/// # Errors
+///
+/// [`QsimError::ZeroNorm`] when no branch is viable, or the selected one's
+/// norm is too small to renormalise.
+#[inline]
+fn select_branch<R: Rng + ?Sized>(
+    probs: &[f64],
+    rng: &mut R,
+) -> Result<(usize, Complex64), QsimError> {
+    let index = sample_branch_index(probs, rng)?;
+    // The same guard as `StateVector::try_renormalize`, on the same norm
+    // value (`probs[index]` is the branch's norm² computed in amplitude
+    // order, exactly as `CVector::norm_sqr` sums it).
+    let norm = probs[index].sqrt();
+    if !norm.is_finite() || norm <= StateVector::MIN_NORM {
+        return Err(QsimError::ZeroNorm);
+    }
+    Ok((index, Complex64::real(1.0 / norm)))
+}
+
+/// Writes the renormalised `branch` into `psi`.
+#[inline]
+fn renormalise_into(psi: &mut StateVector, branch: &[Complex64], factor: Complex64) {
+    for (amp, branch_amp) in psi
+        .amplitudes_mut()
+        .as_mut_slice()
+        .iter_mut()
+        .zip(branch.iter())
+    {
+        *amp = *branch_amp * factor;
+    }
+}
+
+/// One trajectory step of a kernel from a fixed input state, computed once:
+/// the branch probabilities and unnormalised branch states, ready to be
+/// sampled any number of times.
+///
+/// Built by [`CompiledKraus::branch_table`]. [`BranchTable::sample_into`]
+/// is bit-identical to [`CompiledKraus::sample`] on the tabulated input,
+/// including its single RNG draw.
+#[derive(Debug, Clone)]
+pub struct BranchTable {
+    num_qubits: usize,
+    probs: Vec<f64>,
+    branches: Vec<Complex64>,
+}
+
+impl BranchTable {
+    /// Samples the tabulated step and writes the renormalised branch into
+    /// `psi`, whatever it held. Returns the selected branch index.
+    ///
+    /// # Errors
+    ///
+    /// [`QsimError::ZeroNorm`] when every branch has vanishing
+    /// probability; `psi` is left untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `psi` has a different register size than the table.
+    pub fn sample_into<R: Rng + ?Sized>(
+        &self,
+        psi: &mut StateVector,
+        rng: &mut R,
+    ) -> Result<usize, QsimError> {
+        assert_eq!(
+            psi.num_qubits(),
+            self.num_qubits,
+            "branch table of a {}-qubit step sampled into a {}-qubit state",
+            self.num_qubits,
+            psi.num_qubits()
+        );
+        let (index, factor) = select_branch(&self.probs, rng)?;
+        let dim = psi.dim();
+        renormalise_into(psi, &self.branches[index * dim..(index + 1) * dim], factor);
+        Ok(index)
+    }
 }
 
 /// Clears `buf` to `len` exact `+0.0` entries, reusing its capacity.
@@ -287,7 +565,75 @@ impl CompiledKraus {
             target_mask,
             offsets,
             ops,
+            memo_owner: next_memo_owner(),
         })
+    }
+
+    /// Tabulates one trajectory step from the fixed input `psi` (see
+    /// [`BranchTable`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `psi` has a different register size than the kernel was
+    /// compiled for.
+    // detlint: allow(hot-path-alloc): compile-time table; sampling it never allocates
+    pub fn branch_table(&self, psi: &StateVector) -> BranchTable {
+        self.check_register(psi.num_qubits());
+        let mut probs = vec![0.0; self.ops.len()];
+        let mut branches = vec![Complex64::ZERO; self.ops.len() * self.dim];
+        let mut block_in = vec![Complex64::ZERO; self.gate_dim];
+        let mut block_out = vec![Complex64::ZERO; self.gate_dim];
+        self.compute_branches(
+            psi.amplitudes().as_slice(),
+            &mut probs,
+            &mut branches,
+            &mut block_in,
+            &mut block_out,
+        );
+        BranchTable {
+            num_qubits: self.num_qubits,
+            probs,
+            branches,
+        }
+    }
+
+    /// Computes every branch of one trajectory step from `input`: branch
+    /// `b` is `K_b|ψ⟩` (unnormalised) and `probs[b]` its norm².
+    fn compute_branches(
+        &self,
+        input: &[Complex64],
+        probs: &mut [f64],
+        branches: &mut [Complex64],
+        block_in: &mut [Complex64],
+        block_out: &mut [Complex64],
+    ) {
+        for (b, (probability, branch)) in probs
+            .iter_mut()
+            .zip(branches.chunks_exact_mut(self.dim))
+            .enumerate()
+        {
+            *probability = self.branch_into(b, input, branch, block_in, block_out);
+        }
+    }
+
+    /// Writes branch `b` of one trajectory step, `K_b|ψ⟩` (unnormalised),
+    /// into `branch` and returns its norm², summed in amplitude order.
+    #[inline]
+    fn branch_into(
+        &self,
+        b: usize,
+        input: &[Complex64],
+        branch: &mut [Complex64],
+        block_in: &mut [Complex64],
+        block_out: &mut [Complex64],
+    ) -> f64 {
+        branch.copy_from_slice(input);
+        apply_strided(self, &self.ops[b], branch, block_in, block_out);
+        let mut probability = 0.0;
+        for amplitude in branch.iter() {
+            probability += amplitude.norm_sqr();
+        }
+        probability
     }
 
     /// Register size the kernel was compiled for.
@@ -360,7 +706,11 @@ impl CompiledKraus {
     /// the selected branch index.
     ///
     /// Bit-identical to [`StateVector::apply_kraus_sampled`] (same branch
-    /// probabilities, same single RNG draw, same renormalisation).
+    /// probabilities, same single RNG draw, same renormalisation). Dim-4
+    /// steps of up to 16 branches go through the thread's step memo: a
+    /// repeated `(kernel, ψ)` reuses the stored probabilities, recomputes
+    /// only the selected branch, and draws and renormalises exactly as the
+    /// full computation would.
     ///
     /// # Errors
     ///
@@ -377,6 +727,45 @@ impl CompiledKraus {
         rng: &mut R,
     ) -> Result<usize, QsimError> {
         self.check_register(psi.num_qubits());
+        let n = self.ops.len();
+        if self.dim != 4 || n > MEMO_BRANCHES {
+            return self.sample_computed(psi, rng, |_| {});
+        }
+        let key = exact_bits::<8>(psi.amplitudes().as_slice());
+        STEP_MEMO.with(|cell| {
+            let memo = &mut *cell.borrow_mut();
+            if let Some(probs) = memo.get(self.memo_owner, &key) {
+                let (index, factor) = select_branch(&probs[..n], rng)?;
+                let mut branch = [Complex64::ZERO; 4];
+                let mut block = [Complex64::ZERO; 8];
+                let (block_in, block_out) = block.split_at_mut(4);
+                self.branch_into(
+                    index,
+                    psi.amplitudes().as_slice(),
+                    &mut branch,
+                    &mut block_in[..self.gate_dim],
+                    &mut block_out[..self.gate_dim],
+                );
+                renormalise_into(psi, &branch, factor);
+                return Ok(index);
+            }
+            self.sample_computed(psi, rng, |probs| {
+                let mut stored = [0.0; MEMO_BRANCHES];
+                stored[..n].copy_from_slice(probs);
+                memo.insert(self.memo_owner, &key, stored);
+            })
+        })
+    }
+
+    /// The computing form of [`CompiledKraus::sample`]: every branch into
+    /// the thread's scratch, `computed` shown the probabilities, then the
+    /// draw and the renormalisation.
+    fn sample_computed<R: Rng + ?Sized>(
+        &self,
+        psi: &mut StateVector,
+        rng: &mut R,
+        computed: impl FnOnce(&[f64]),
+    ) -> Result<usize, QsimError> {
         let dim = self.dim;
         SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
@@ -391,34 +780,11 @@ impl CompiledKraus {
             reset(block_in, self.gate_dim);
             reset(block_out, self.gate_dim);
             probs.clear();
-            for (b, op) in self.ops.iter().enumerate() {
-                let branch = &mut acc[b * dim..(b + 1) * dim];
-                branch.copy_from_slice(psi.amplitudes().as_slice());
-                apply_strided(self, op, branch, block_in, block_out);
-                let mut probability = 0.0;
-                for amplitude in branch.iter() {
-                    probability += amplitude.norm_sqr();
-                }
-                probs.push(probability);
-            }
-            let index = sample_branch_index(probs, rng)?;
-            // The same guard as `StateVector::try_renormalize`, on the same
-            // norm value (`probs[index]` is the branch's norm² computed in
-            // amplitude order, exactly as `CVector::norm_sqr` sums it).
-            let norm = probs[index].sqrt();
-            if !norm.is_finite() || norm <= StateVector::MIN_NORM {
-                return Err(QsimError::ZeroNorm);
-            }
-            let factor = Complex64::real(1.0 / norm);
-            let chosen = &acc[index * dim..(index + 1) * dim];
-            for (amp, branch_amp) in psi
-                .amplitudes_mut()
-                .as_mut_slice()
-                .iter_mut()
-                .zip(chosen.iter())
-            {
-                *amp = *branch_amp * factor;
-            }
+            probs.resize(self.ops.len(), 0.0);
+            self.compute_branches(psi.amplitudes().as_slice(), probs, acc, block_in, block_out);
+            computed(probs);
+            let (index, factor) = select_branch(probs, rng)?;
+            renormalise_into(psi, &acc[index * dim..(index + 1) * dim], factor);
             Ok(index)
         })
     }
@@ -634,5 +1000,195 @@ mod tests {
         kernel.apply(&mut compiled);
         legacy.try_apply_kraus(&ops, &[0]).unwrap();
         assert_eq!(bits(compiled.matrix()), bits(legacy.matrix()));
+    }
+
+    fn amplitude_bits(psi: &StateVector) -> Vec<(u64, u64)> {
+        psi.amplitudes()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    /// A random normalised 2-qubit state.
+    fn random_state(rng: &mut StdRng) -> StateVector {
+        let amplitudes = (0..4)
+            .map(|_| Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+            .collect();
+        StateVector::from_amplitudes(mathkit::vector::CVector::new(amplitudes).normalized())
+            .unwrap()
+    }
+
+    /// A 16-operator two-qubit channel: every Pauli pair, weighted.
+    fn two_qubit_pauli_ops() -> Vec<CMatrix> {
+        let paulis = [
+            gates::identity(),
+            gates::pauli_x(),
+            gates::pauli_y(),
+            gates::pauli_z(),
+        ];
+        let mut ops = Vec::new();
+        for (i, a) in paulis.iter().enumerate() {
+            for (j, b) in paulis.iter().enumerate() {
+                let weight: f64 = if i + j == 0 { 0.85 } else { 0.01 };
+                ops.push(a.kron(b).scale(Complex64::real(weight.sqrt())));
+            }
+        }
+        ops
+    }
+
+    /// Samples `kernel` and the legacy sampler from the same input and RNG
+    /// state, and requires equal branches, bits and RNG streams.
+    fn assert_sample_matches_legacy(
+        kernel: &CompiledKraus,
+        ops: &[CMatrix],
+        targets: &[usize],
+        input: &StateVector,
+        seed: u64,
+    ) {
+        let (mut fast, mut slow) = (input.clone(), input.clone());
+        let mut rng_fast = StdRng::seed_from_u64(seed);
+        let mut rng_slow = StdRng::seed_from_u64(seed);
+        let a = kernel.sample(&mut fast, &mut rng_fast).unwrap();
+        let b = slow
+            .apply_kraus_sampled(ops, targets, &mut rng_slow)
+            .unwrap();
+        assert_eq!(a, b);
+        assert_eq!(amplitude_bits(&fast), amplitude_bits(&slow));
+        assert_eq!(rng_fast.gen::<u64>(), rng_slow.gen::<u64>());
+    }
+
+    #[test]
+    fn memo_hits_keep_bits_and_rng_streams_aligned_with_the_legacy_sampler() {
+        let ops = damping_ops(0.3);
+        let kernel = CompiledKraus::compile(&ops, &[1], 2).unwrap();
+        let input = random_state(&mut StdRng::seed_from_u64(5));
+        // The first call computes and stores; every later one is a hit on
+        // the same input, with a different draw each time.
+        for seed in 0..64 {
+            assert_sample_matches_legacy(&kernel, &ops, &[1], &input, seed);
+        }
+        // A trajectory through hits and misses keeps one stream aligned.
+        let mut rng_fast = StdRng::seed_from_u64(9);
+        let mut rng_slow = StdRng::seed_from_u64(9);
+        for _ in 0..8 {
+            let (mut fast, mut slow) = (input.clone(), input.clone());
+            for _ in 0..30 {
+                let a = kernel.sample(&mut fast, &mut rng_fast).unwrap();
+                let b = slow.apply_kraus_sampled(&ops, &[1], &mut rng_slow).unwrap();
+                assert_eq!(a, b);
+            }
+            assert_eq!(amplitude_bits(&fast), amplitude_bits(&slow));
+        }
+        assert_eq!(rng_fast.gen::<u64>(), rng_slow.gen::<u64>());
+    }
+
+    #[test]
+    fn sixteen_branch_steps_are_memoised_bit_identically() {
+        let ops = two_qubit_pauli_ops();
+        let kernel = CompiledKraus::compile(&ops, &[0, 1], 2).unwrap();
+        let input = random_state(&mut StdRng::seed_from_u64(6));
+        for seed in 0..64 {
+            assert_sample_matches_legacy(&kernel, &ops, &[0, 1], &input, seed);
+        }
+    }
+
+    #[test]
+    fn two_kernels_on_the_same_state_do_not_alias() {
+        let (weak, strong) = (damping_ops(0.05), damping_ops(0.9));
+        let weak_kernel = CompiledKraus::compile(&weak, &[0], 2).unwrap();
+        let strong_kernel = CompiledKraus::compile(&strong, &[0], 2).unwrap();
+        let input = random_state(&mut StdRng::seed_from_u64(7));
+        for seed in 0..32 {
+            assert_sample_matches_legacy(&weak_kernel, &weak, &[0], &input, seed);
+            assert_sample_matches_legacy(&strong_kernel, &strong, &[0], &input, seed);
+        }
+    }
+
+    #[test]
+    fn evicted_inputs_stay_bit_identical() {
+        let ops = damping_ops(0.2);
+        let kernel = CompiledKraus::compile(&ops, &[1], 2).unwrap();
+        let mut rng = StdRng::seed_from_u64(8);
+        let inputs: Vec<StateVector> = (0..3 * STEP_MEMO_SLOTS)
+            .map(|_| random_state(&mut rng))
+            .collect();
+        // Two passes: the second revisits every input after the table has
+        // cycled through more keys than it holds.
+        for pass in 0..2 {
+            for (i, input) in inputs.iter().enumerate() {
+                assert_sample_matches_legacy(&kernel, &ops, &[1], input, (pass * 7919 + i) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zeros_are_distinct_memo_keys() {
+        let mut memo = ExactMemo::<2, 4, u8>::default();
+        let plus = exact_bits::<2>(&[Complex64::new(0.0, 1.0)]);
+        let minus = exact_bits::<2>(&[Complex64::new(-0.0, 1.0)]);
+        assert_ne!(plus, minus);
+        memo.insert(1, &plus, 7);
+        assert_eq!(memo.get(1, &plus), Some(&7));
+        assert_eq!(memo.get(1, &minus), None);
+
+        // End to end: a sign-sensitive map through the density memo.
+        let reciprocal = |rho: &mut DensityMatrix| {
+            let entries = rho.matrix_mut().as_mut_slice();
+            entries[0] = Complex64::real(1.0 / entries[1].re);
+        };
+        let owner = next_memo_owner();
+        for sign in [1.0, -1.0, 1.0, -1.0] {
+            let mut rho = DensityMatrix::new(2);
+            rho.matrix_mut().as_mut_slice()[1] = Complex64::real(sign * 0.0);
+            memoize_density_map(owner, &mut rho, reciprocal);
+            assert_eq!(rho.matrix().as_slice()[0].re, sign * f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn density_map_memo_matches_fresh_computation_through_eviction() {
+        let ops = damping_ops(0.15);
+        let kernel = CompiledKraus::compile(&ops, &[0], 2).unwrap();
+        let chain = |rho: &mut DensityMatrix| {
+            for _ in 0..5 {
+                kernel.apply(rho);
+            }
+        };
+        let owner = next_memo_owner();
+        let inputs: Vec<DensityMatrix> = (0..3 * DENSITY_MEMO_SLOTS)
+            .map(|i| {
+                let mut rho = busy_state(2);
+                rho.apply_single(&gates::rx(0.01 * i as f64), 0);
+                rho
+            })
+            .collect();
+        for _ in 0..2 {
+            for input in &inputs {
+                let mut memoised = input.clone();
+                memoize_density_map(owner, &mut memoised, chain);
+                let mut fresh = input.clone();
+                chain(&mut fresh);
+                assert_eq!(bits(memoised.matrix()), bits(fresh.matrix()));
+            }
+        }
+    }
+
+    #[test]
+    fn branch_table_matches_sampling_its_input() {
+        let ops = two_qubit_pauli_ops();
+        let kernel = CompiledKraus::compile(&ops, &[0, 1], 2).unwrap();
+        let input = random_state(&mut StdRng::seed_from_u64(10));
+        let table = kernel.branch_table(&input);
+        for seed in 0..32 {
+            let mut tabulated = StateVector::new(2);
+            let mut sampled = input.clone();
+            let mut rng_a = StdRng::seed_from_u64(seed);
+            let mut rng_b = StdRng::seed_from_u64(seed);
+            let a = table.sample_into(&mut tabulated, &mut rng_a).unwrap();
+            let b = kernel.sample(&mut sampled, &mut rng_b).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(amplitude_bits(&tabulated), amplitude_bits(&sampled));
+            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+        }
     }
 }

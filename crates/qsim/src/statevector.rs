@@ -33,10 +33,26 @@ use std::fmt;
 /// assert!((probs[0] - 0.5).abs() < 1e-12); // |00⟩
 /// assert!((probs[3] - 0.5).abs() < 1e-12); // |11⟩
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct StateVector {
     num_qubits: usize,
     amplitudes: CVector,
+}
+
+impl Clone for StateVector {
+    fn clone(&self) -> Self {
+        Self {
+            num_qubits: self.num_qubits,
+            amplitudes: self.amplitudes.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s amplitude buffer — the
+    /// allocation-free reset of a reused trajectory state.
+    fn clone_from(&mut self, source: &Self) {
+        self.num_qubits = source.num_qubits;
+        self.amplitudes.clone_from(&source.amplitudes);
+    }
 }
 
 impl StateVector {
