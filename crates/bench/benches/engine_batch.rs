@@ -1,12 +1,11 @@
-//! Criterion bench for the engine's batch execution: the legacy per-call shape versus
-//! `SessionEngine::run_batch`, and — since the parallel executor landed — serial versus
-//! `Threads(2)`, `Threads(4)` and `Threads(8)` fan-out over the standard scenario mix, so the
-//! speedup from multi-threaded trial execution is measured rather than asserted. Every mode
-//! produces bit-for-bit identical summaries (asserted once before timing); only wall time may
-//! differ.
+//! Criterion bench for the engine over a batch of scenarios: the legacy per-call shape versus
+//! `SessionEngine::run_trials` per scenario, and serial versus `Threads(2)`, `Threads(4)` and
+//! `Threads(8)` fan-out over the standard scenario mix, so the speedup from multi-threaded
+//! trial execution is measured rather than asserted. Every mode produces bit-for-bit
+//! identical summaries (asserted once before timing); only wall time may differ.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use protocol::engine::{Adversary, Parallelism, Scenario, SessionEngine};
+use protocol::engine::{Adversary, Parallelism, Scenario, SessionEngine, TrialSummary};
 use protocol::identity::IdentityPair;
 use protocol::message::SecretMessage;
 use protocol::session::Impersonation;
@@ -30,6 +29,14 @@ fn scenarios(count: usize) -> Vec<Scenario> {
                 scenario
             }
         })
+        .collect()
+}
+
+/// `trials` trials of every scenario: one summary per scenario, in order.
+fn run_each(engine: &SessionEngine, batch: &[Scenario], trials: usize) -> Vec<TrialSummary> {
+    batch
+        .iter()
+        .map(|scenario| engine.run_trials(scenario, trials).unwrap())
         .collect()
 }
 
@@ -69,11 +76,11 @@ fn bench_engine_batch(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("engine_run_batch", count),
+            BenchmarkId::new("engine_run_trials", count),
             &batch,
             |b, batch| {
                 let engine = SessionEngine::new(7);
-                b.iter(|| black_box(engine.run_batch(batch, 2).unwrap()))
+                b.iter(|| black_box(run_each(&engine, batch, 2)))
             },
         );
     }
@@ -89,16 +96,17 @@ fn bench_parallel_modes(c: &mut Criterion) {
     let trials = 4;
 
     // Guard the claim the bench exists to quantify: identical results in every mode.
-    let reference = SessionEngine::new(7).run_batch(&batch, trials).unwrap();
+    let reference = run_each(&SessionEngine::new(7), &batch, trials);
     for mode in [
         Parallelism::Threads(2),
         Parallelism::Threads(4),
         Parallelism::Threads(8),
     ] {
-        let threaded = SessionEngine::new(7)
-            .with_parallelism(mode)
-            .run_batch(&batch, trials)
-            .unwrap();
+        let threaded = run_each(
+            &SessionEngine::new(7).with_parallelism(mode),
+            &batch,
+            trials,
+        );
         assert_eq!(threaded, reference, "{mode} diverged from serial");
     }
 
@@ -108,16 +116,16 @@ fn bench_parallel_modes(c: &mut Criterion) {
         Parallelism::Threads(4),
         Parallelism::Threads(8),
     ] {
-        group.bench_with_input(BenchmarkId::new("run_batch", mode), &batch, |b, batch| {
+        group.bench_with_input(BenchmarkId::new("run_trials", mode), &batch, |b, batch| {
             let engine = SessionEngine::new(7).with_parallelism(mode);
-            b.iter(|| black_box(engine.run_batch(batch, trials).unwrap()))
+            b.iter(|| black_box(run_each(&engine, batch, trials)))
         });
     }
     // One stats-carrying run per mode so `cargo bench` output shows the fan-out shape
     // (per-worker trial counts, wall time) next to the timings.
     for mode in [Parallelism::Serial, Parallelism::Threads(4)] {
         let engine = SessionEngine::new(7).with_parallelism(mode);
-        let (_, stats) = engine.run_batch_with_stats(&batch, trials).unwrap();
+        let (_, stats) = engine.run_trials_with_stats(&batch[0], trials).unwrap();
         println!(
             "engine_parallelism/{mode}: {stats} ({:.1} trials/s)",
             stats.throughput()

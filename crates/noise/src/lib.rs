@@ -19,7 +19,7 @@
 //!
 //! ## Compile once, apply many
 //!
-//! The one-shot methods ([`KrausChannel::apply`] and the deprecated per-call samplers)
+//! The one-shot [`KrausChannel::apply`] and the qsim `apply_kraus_sampled` references
 //! validate targets and embed operators on **every call**. Hot loops should compile the
 //! placement once with [`KrausChannel::compile`] and replay it: application is bit-identical
 //! — the compiled kernels run the exact floating-point operation sequence of the one-shot

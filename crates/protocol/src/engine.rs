@@ -6,30 +6,29 @@
 //!   per trial when absent) and an [`Adversary`].
 //! - [`SessionEngine`] knows *how* to run it: which [`Backend`] simulates the
 //!   quantum substrate and which master seed derives the per-trial RNG
-//!   streams. [`SessionEngine::run`] executes one session,
+//!   streams. [`SessionEngine::run_nth`] executes one session,
 //!   [`SessionEngine::run_trials`] aggregates `n` sessions into a
-//!   [`TrialSummary`], and [`SessionEngine::run_batch`] does so for many
-//!   scenarios at once.
+//!   [`TrialSummary`], and [`SessionEngine::run_outcomes`] returns every
+//!   outcome of `n` sessions.
 //!
 //! Every trial draws its randomness from a stream derived from
 //! `(master seed, scenario fingerprint, trial index)`, so results are
-//! bit-for-bit reproducible, independent of execution order, and independent
-//! of which other scenarios share the batch. The [`parallel`] module turns
-//! that property into wall-clock speed: configure the engine with a
-//! [`Parallelism`] policy (e.g.
+//! bit-for-bit reproducible and independent of execution order. The
+//! [`parallel`] module turns that property into wall-clock speed: configure
+//! the engine with a [`Parallelism`] policy (e.g.
 //! [`with_parallelism(Parallelism::Auto)`](SessionEngine::with_parallelism))
-//! and `run_outcomes` / `run_trials` / `run_batch` fan trials and scenarios
-//! across worker threads while returning exactly the serial results; the
-//! `*_with_stats` variants additionally report an [`ExecutorStats`] with
-//! per-worker trial counts and wall time.
+//! and `run_outcomes` / `run_trials` fan trials across worker threads while
+//! returning exactly the serial results; the `*_with_stats` variants
+//! additionally report an [`ExecutorStats`] with per-worker trial counts and
+//! wall time.
 //!
 //! The same contract extends beyond one process: every run decomposes into
 //! the explicit plan → execute → merge stages of the [`shard`] module — a
 //! serde [`ShardPlan`] splits a trial range across workers or machines,
 //! [`SessionEngine::execute_shard`] turns one shard into a [`ShardResult`],
 //! and a [`ShardMerger`] folds results back in trial order, byte-identical to
-//! the unsharded run. `run_outcomes` / `run_trials` are the whole-run special
-//! case of that pipeline. For a heterogeneous fleet, the [`queue`] module
+//! the unsharded run. `run_outcomes` / `run_trials` plan the whole run and
+//! execute it as one shard. For a heterogeneous fleet, the [`queue`] module
 //! schedules those shards dynamically: a [`ShardQueue`] on a shared directory
 //! hands sub-plans out on a claim/lease basis and persists progress in a
 //! resumable, fingerprint-verified [`MergeCheckpoint`]. One level up, the
@@ -53,7 +52,7 @@
 //!     .build()?;
 //! let scenario = Scenario::new(config, identities);
 //! let engine = SessionEngine::new(42);
-//! let outcome = engine.run(&scenario)?;
+//! let outcome = engine.run_nth(&scenario, 0)?;
 //! assert!(outcome.is_delivered());
 //! # Ok(())
 //! # }
@@ -102,7 +101,6 @@ use rand::seq::SliceRandom;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 // ------------------------------------------------------------------ backend --
@@ -1169,9 +1167,9 @@ impl SessionEngine {
         }
     }
 
-    /// Sets the execution policy for `run_outcomes` / `run_trials` /
-    /// `run_batch`. Results are identical under every policy; only wall time
-    /// changes.
+    /// Sets the execution policy for `execute_shard` and the `run_outcomes` /
+    /// `run_trials` runs built on it. Results are identical under every
+    /// policy; only wall time changes.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -1208,44 +1206,25 @@ impl SessionEngine {
         StdRng::seed_from_u64(rand::splitmix64(&mut state))
     }
 
-    /// Runs trial 0 of the scenario.
+    /// Runs the trial with the given index. Each index has its own RNG
+    /// stream, so any subset of trials can be executed in any order and still
+    /// reproduce exactly the results of a full sequential run.
+    ///
+    /// Single-trial entry point: compiles the scenario's noise program for
+    /// this one trial, independently of the shard executor that trial loops
+    /// go through, so it can serve as that executor's per-trial reference.
     ///
     /// # Errors
     ///
     /// Returns a [`ProtocolError`] on configuration misuse; protocol aborts
     /// are reported inside the [`SessionOutcome`].
-    pub fn run(&self, scenario: &Scenario) -> Result<SessionOutcome, ProtocolError> {
-        self.run_nth(scenario, 0)
-    }
-
-    /// Runs the trial with the given index. Each index has its own RNG
-    /// stream, so any subset of trials can be executed in any order and still
-    /// reproduce exactly the results of a full sequential run.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProtocolError`] on configuration misuse.
     pub fn run_nth(
         &self,
         scenario: &Scenario,
         trial: u64,
     ) -> Result<SessionOutcome, ProtocolError> {
-        self.run_fingerprinted(scenario, scenario.fingerprint(), trial)
-    }
-
-    /// [`run_nth`](Self::run_nth) with the scenario fingerprint precomputed,
-    /// so trial loops hash the (immutable) scenario once instead of per trial.
-    /// Single-trial entry point: compiles the scenario's noise program for
-    /// this one trial. Trial loops go through
-    /// [`run_compiled`](Self::run_compiled) with a shared program instead.
-    fn run_fingerprinted(
-        &self,
-        scenario: &Scenario,
-        fingerprint: u64,
-        trial: u64,
-    ) -> Result<SessionOutcome, ProtocolError> {
         let program = Self::compile_program(scenario);
-        self.run_compiled(scenario, fingerprint, &program, trial)
+        self.run_compiled(scenario, scenario.fingerprint(), &program, trial)
     }
 
     /// Compiles a scenario's noise program: every channel placement its
@@ -1286,9 +1265,9 @@ impl SessionEngine {
 
     /// Runs trials `0..trials` of the scenario and returns every outcome —
     /// the per-outcome sibling of [`run_trials`](Self::run_trials), for
-    /// callers that need more than the aggregate (e.g. transcripts). The
-    /// scenario is fingerprinted once for the whole loop, and trials fan out
-    /// across workers under the engine's [`Parallelism`] policy.
+    /// callers that need more than the aggregate (e.g. transcripts): the
+    /// whole-run [`plan`](Self::plan) executed as one shard, so trials fan
+    /// out across workers under the engine's [`Parallelism`] policy.
     ///
     /// # Errors
     ///
@@ -1298,36 +1277,11 @@ impl SessionEngine {
         scenario: &Scenario,
         trials: usize,
     ) -> Result<Vec<SessionOutcome>, ProtocolError> {
-        self.run_outcomes_with_stats(scenario, trials)
-            .map(|(outcomes, _)| outcomes)
-    }
-
-    /// [`run_outcomes`](Self::run_outcomes) plus the [`ExecutorStats`] of the
-    /// fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first configuration error encountered.
-    pub fn run_outcomes_with_stats(
-        &self,
-        scenario: &Scenario,
-        trials: usize,
-    ) -> Result<(Vec<SessionOutcome>, ExecutorStats), ProtocolError> {
-        // The whole-run special case of the shard pipeline: same executor
-        // stage as `execute_shard`, with the plan elided (the scenario is
-        // borrowed and fingerprinted exactly once; the merge is the identity).
-        let (payload, stats) = self.execute_trials(
-            scenario,
-            scenario.fingerprint(),
-            self.master_seed,
-            0,
-            trials,
-            ShardOutput::Outcomes,
-        )?;
-        let ShardPayload::Outcomes(outcomes) = payload else {
+        let result = self.execute_shard(&self.plan(scenario, trials), ShardOutput::Outcomes)?;
+        let ShardPayload::Outcomes(outcomes) = result.payload else {
             unreachable!("an Outcomes execution produces an Outcomes payload")
         };
-        Ok((outcomes, stats))
+        Ok(outcomes)
     }
 
     /// Runs `trials` sessions of the scenario and aggregates the outcomes.
@@ -1348,7 +1302,9 @@ impl SessionEngine {
     }
 
     /// [`run_trials`](Self::run_trials) plus the [`ExecutorStats`] of the
-    /// fan-out.
+    /// fan-out: the whole-run [`plan`](Self::plan) executed as one shard with
+    /// a summary payload, so a single-machine summary is byte-identical to
+    /// any merged multi-shard execution of the same run.
     ///
     /// # Errors
     ///
@@ -1358,114 +1314,16 @@ impl SessionEngine {
         scenario: &Scenario,
         trials: usize,
     ) -> Result<(TrialSummary, ExecutorStats), ProtocolError> {
-        // The whole-run special case of the shard pipeline with a summary
-        // payload: task order, fold order and error semantics are exactly
-        // those of the sharded path, so a single-machine summary is
-        // byte-identical to any merged multi-shard execution of the same run.
-        let (payload, stats) = self.execute_trials(
-            scenario,
-            scenario.fingerprint(),
-            self.master_seed,
-            0,
-            trials,
-            ShardOutput::Summary,
-        )?;
-        let ShardPayload::Summary(builder) = payload else {
+        let (result, stats) =
+            self.execute_shard_with_stats(&self.plan(scenario, trials), ShardOutput::Summary)?;
+        let ShardPayload::Summary(builder) = result.payload else {
             unreachable!("a Summary execution produces a Summary payload")
         };
         Ok((builder.finish(), stats))
     }
 
-    /// Runs `trials` sessions of every scenario and returns one summary per
-    /// scenario, in order. Summaries are identical to running each scenario
-    /// alone — results do not depend on batch composition, order, or the
-    /// engine's [`Parallelism`] policy. Each scenario is fingerprinted once
-    /// for the whole batch, and the flattened `(scenario, trial)` task set
-    /// fans out across workers, so many-scenario/few-trial sweeps parallelize
-    /// as well as single-scenario/many-trial runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first configuration error encountered.
-    pub fn run_batch(
-        &self,
-        scenarios: &[Scenario],
-        trials: usize,
-    ) -> Result<Vec<TrialSummary>, ProtocolError> {
-        self.run_batch_with_stats(scenarios, trials)
-            .map(|(summaries, _)| summaries)
-    }
-
-    /// [`run_batch`](Self::run_batch) plus the [`ExecutorStats`] of the
-    /// fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first configuration error encountered.
-    pub fn run_batch_with_stats(
-        &self,
-        scenarios: &[Scenario],
-        trials: usize,
-    ) -> Result<(Vec<TrialSummary>, ExecutorStats), ProtocolError> {
-        // Stage 1 — plan: one whole-run ShardPlan per scenario, so each
-        // scenario is fingerprinted exactly once for the batch.
-        let plans: Vec<ShardPlan> = scenarios.iter().map(|s| self.plan(s, trials)).collect();
-        // Stage 2 — execute: the plans' task sets are fused into a single
-        // scenario-major scatter, so many-scenario/few-trial sweeps fan out
-        // as well as single-scenario/many-trial runs. Stage 3 — merge: every
-        // outcome folds into its plan's summary partial in trial order (the
-        // in-process shortcut for `TrialSummaryBuilder::merge` over one-trial
-        // partials), so summaries are bit-identical to serial accumulation.
-        let mut builders: Vec<TrialSummaryBuilder> = plans
-            .iter()
-            .map(|p| {
-                TrialSummaryBuilder::new(p.scenario.label.clone(), p.scenario.adversary.name())
-            })
-            .collect();
-        // One compiled noise program per scenario, shared by all its trials.
-        let programs: Vec<CompiledQuantumChannel> = plans
-            .iter()
-            .map(|p| Self::compile_program(&p.scenario))
-            .collect();
-        let mut first_error: Option<ProtocolError> = None;
-        // `trials == 0` produces no tasks, so the index arithmetic below
-        // never divides by zero.
-        let stats = parallel::scatter_visit(
-            self.parallelism,
-            plans.len() * trials,
-            |index| {
-                let plan = &plans[index / trials];
-                self.run_compiled(
-                    &plan.scenario,
-                    plan.fingerprint,
-                    &programs[index / trials],
-                    plan.trial_start + (index % trials) as u64,
-                )
-            },
-            |index, outcome| match outcome {
-                Ok(outcome) => {
-                    builders[index / trials].record(&outcome);
-                    ControlFlow::Continue(())
-                }
-                Err(error) => {
-                    // Fail fast: the first in-order error cancels the rest.
-                    first_error.get_or_insert(error);
-                    ControlFlow::Break(())
-                }
-            },
-        );
-        match first_error {
-            Some(error) => Err(error),
-            None => {
-                let mut summaries = Vec::with_capacity(builders.len());
-                summaries.extend(builders.into_iter().map(TrialSummaryBuilder::finish));
-                Ok((summaries, stats))
-            }
-        }
-    }
-
     /// Runs one session with explicitly supplied parts and caller-controlled
-    /// RNG — the escape hatch the deprecated free functions are shimmed on.
+    /// RNG — the escape hatch for drivers that own the RNG stream.
     /// With no scenario to consult, the backend is the fixed override when
     /// one was installed, the default [`DensityMatrixBackend`] otherwise.
     ///
@@ -1953,7 +1811,7 @@ mod tests {
     fn honest_scenario_delivers_the_exact_message() {
         let message = SecretMessage::from_bitstring("1010011100101101").unwrap();
         let scenario = small_scenario(11).with_message(message.clone());
-        let outcome = SessionEngine::new(1).run(&scenario).unwrap();
+        let outcome = SessionEngine::new(1).run_nth(&scenario, 0).unwrap();
         assert!(outcome.is_delivered(), "{}", outcome.status);
         assert_eq!(outcome.received_message.as_ref().unwrap(), &message);
         assert_eq!(outcome.message_bit_error_rate, Some(0.0));
@@ -1973,7 +1831,9 @@ mod tests {
 
     #[test]
     fn random_message_scenario_delivers() {
-        let outcome = SessionEngine::new(23).run(&small_scenario(23)).unwrap();
+        let outcome = SessionEngine::new(23)
+            .run_nth(&small_scenario(23), 0)
+            .unwrap();
         assert!(outcome.is_delivered());
         assert_eq!(
             outcome.sent_message.bits(),
@@ -1995,7 +1855,7 @@ mod tests {
             .build()
             .unwrap();
         let scenario = Scenario::new(config, identities);
-        let outcome = SessionEngine::new(37).run(&scenario).unwrap();
+        let outcome = SessionEngine::new(37).run_nth(&scenario, 0).unwrap();
         assert!(outcome.is_delivered(), "{}", outcome.status);
         assert!(outcome.message_accuracy().unwrap() > 0.85);
         let s2 = outcome.di_check_round2.unwrap().chsh.unwrap();
@@ -2006,7 +1866,7 @@ mod tests {
     fn message_length_mismatch_is_an_error() {
         let scenario =
             small_scenario(5).with_message(SecretMessage::from_bitstring("101").unwrap());
-        let err = SessionEngine::new(5).run(&scenario);
+        let err = SessionEngine::new(5).run_nth(&scenario, 0);
         assert!(matches!(
             err,
             Err(ProtocolError::MessageLengthMismatch {
@@ -2027,7 +1887,7 @@ mod tests {
             .build()
             .unwrap();
         let scenario = Scenario::new(config, identities).with_adversary(Adversary::ImpersonateBob);
-        let outcome = SessionEngine::new(71).run(&scenario).unwrap();
+        let outcome = SessionEngine::new(71).run_nth(&scenario, 0).unwrap();
         assert!(
             outcome.aborted_at(AbortStage::BobAuthentication),
             "{}",
@@ -2049,7 +1909,7 @@ mod tests {
             .unwrap();
         let scenario =
             Scenario::new(config, identities).with_adversary(Adversary::ImpersonateAlice);
-        let outcome = SessionEngine::new(72).run(&scenario).unwrap();
+        let outcome = SessionEngine::new(72).run_nth(&scenario, 0).unwrap();
         assert!(
             outcome.aborted_at(AbortStage::AliceAuthentication),
             "{}",
@@ -2080,7 +1940,7 @@ mod tests {
             .unwrap();
         let scenario = Scenario::new(config, identities)
             .with_adversary(Adversary::custom("z-measure", || Box::new(ZMeasureTap)));
-        let outcome = SessionEngine::new(99).run(&scenario).unwrap();
+        let outcome = SessionEngine::new(99).run_nth(&scenario, 0).unwrap();
         assert!(
             !outcome.is_delivered(),
             "a channel that destroys coherence must be detected, got {}",
@@ -2118,7 +1978,9 @@ mod tests {
 
     #[test]
     fn transcript_never_contains_message_or_alice_identity_results() {
-        let outcome = SessionEngine::new(123).run(&small_scenario(123)).unwrap();
+        let outcome = SessionEngine::new(123)
+            .run_nth(&small_scenario(123), 0)
+            .unwrap();
         // The only Bell results on the wire are the covered DB-auth block.
         let bell_msgs = outcome.transcript.messages_of_kind("bell-results");
         assert_eq!(bell_msgs.len(), 1);
@@ -2140,22 +2002,6 @@ mod tests {
             a.sent_message, c.sent_message,
             "different master seeds diverge"
         );
-    }
-
-    #[test]
-    fn trial_streams_are_independent_of_batch_composition() {
-        let honest = small_scenario(301).with_label("honest");
-        let attacked = small_scenario(302)
-            .with_label("intercept")
-            .with_adversary(Adversary::InterceptResend(InterceptBasis::Computational));
-        let engine = SessionEngine::new(9);
-        let alone = engine.run_trials(&attacked, 2).unwrap();
-        let batch = engine
-            .run_batch(&[honest.clone(), attacked.clone()], 2)
-            .unwrap();
-        assert_eq!(batch[1], alone, "batch membership must not change results");
-        let reordered = engine.run_batch(&[attacked, honest], 2).unwrap();
-        assert_eq!(reordered[0], alone, "batch order must not change results");
     }
 
     #[test]
@@ -2188,8 +2034,8 @@ mod tests {
             "labels are display-only and must not affect the RNG stream"
         );
         let engine = SessionEngine::new(61);
-        let a = engine.run(&base).unwrap();
-        let b = engine.run(&renamed).unwrap();
+        let a = engine.run_nth(&base, 0).unwrap();
+        let b = engine.run_nth(&renamed, 0).unwrap();
         assert_eq!(a, b);
     }
 
@@ -2197,7 +2043,7 @@ mod tests {
     fn out_of_range_entangle_strength_is_an_error_not_a_panic() {
         let scenario =
             small_scenario(62).with_adversary(Adversary::EntangleMeasure { strength: 1.5 });
-        let err = SessionEngine::new(62).run(&scenario);
+        let err = SessionEngine::new(62).run_nth(&scenario, 0);
         assert!(
             matches!(err, Err(ProtocolError::InvalidConfig(_))),
             "{err:?}"
@@ -2258,9 +2104,13 @@ mod tests {
                 .with_label("imp-bob")
                 .with_adversary(Adversary::ImpersonateBob),
         ];
+        let run_each = |engine: &SessionEngine| -> Vec<TrialSummary> {
+            let run = |scenario| engine.run_trials(scenario, 3).unwrap();
+            scenarios.iter().map(run).collect()
+        };
         let serial_engine = SessionEngine::new(2025);
         let serial_outcomes = serial_engine.run_outcomes(&scenarios[0], 4).unwrap();
-        let serial_batch = serial_engine.run_batch(&scenarios, 3).unwrap();
+        let serial_summaries = run_each(&serial_engine);
         for parallelism in [
             Parallelism::Threads(2),
             Parallelism::Threads(8),
@@ -2273,11 +2123,7 @@ mod tests {
                 serial_outcomes,
                 "{parallelism}"
             );
-            assert_eq!(
-                engine.run_batch(&scenarios, 3).unwrap(),
-                serial_batch,
-                "{parallelism}"
-            );
+            assert_eq!(run_each(&engine), serial_summaries, "{parallelism}");
         }
     }
 
@@ -2291,12 +2137,6 @@ mod tests {
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 7);
         assert!(stats.workers <= 3);
         assert!(stats.wall_time > std::time::Duration::ZERO);
-
-        let (summaries, batch_stats) = engine
-            .run_batch_with_stats(&[scenario.clone(), scenario.clone()], 2)
-            .unwrap();
-        assert_eq!(summaries.len(), 2);
-        assert_eq!(batch_stats.tasks, 4, "tasks = scenarios × trials");
     }
 
     #[test]
@@ -2310,14 +2150,14 @@ mod tests {
                 Err(ProtocolError::InvalidConfig(_))
             ));
             assert!(matches!(
-                engine.run_batch(std::slice::from_ref(&scenario), 2),
+                engine.run_outcomes(&scenario, 2),
                 Err(ProtocolError::InvalidConfig(_))
             ));
         }
     }
 
     #[test]
-    fn zero_trials_and_empty_batches_work_under_parallelism() {
+    fn zero_trials_work_under_parallelism() {
         let scenario = small_scenario(8);
         for parallelism in [Parallelism::Serial, Parallelism::Threads(8)] {
             let engine = SessionEngine::new(8).with_parallelism(parallelism);
@@ -2325,12 +2165,7 @@ mod tests {
             assert_eq!(summary.trials, 0);
             assert_eq!(summary.detection_rate(), 0.0);
             assert_eq!(summary.delivery_rate(), 0.0);
-            assert!(engine.run_batch(&[], 5).unwrap().is_empty());
-            let batch = engine
-                .run_batch(std::slice::from_ref(&scenario), 0)
-                .unwrap();
-            assert_eq!(batch.len(), 1);
-            assert_eq!(batch[0].trials, 0);
+            assert!(engine.run_outcomes(&scenario, 0).unwrap().is_empty());
         }
     }
 
@@ -2376,7 +2211,7 @@ mod tests {
             .build()
             .unwrap();
         let scenario = Scenario::new(config, identities).with_backend(BackendKind::Statevector);
-        let outcome = SessionEngine::new(43).run(&scenario).unwrap();
+        let outcome = SessionEngine::new(43).run_nth(&scenario, 0).unwrap();
         assert!(outcome.is_delivered(), "{}", outcome.status);
         assert!(
             outcome.message_accuracy().unwrap() > 0.8,
@@ -2386,7 +2221,7 @@ mod tests {
         let s2 = outcome.di_check_round2.as_ref().unwrap().chsh.unwrap();
         assert!(s2 > 2.0, "honest sampled channel keeps S2 > 2, got {s2}");
         // Bit-for-bit replay on a fresh engine.
-        let replay = SessionEngine::new(43).run(&scenario).unwrap();
+        let replay = SessionEngine::new(43).run_nth(&scenario, 0).unwrap();
         assert_eq!(outcome, replay);
     }
 
@@ -2396,7 +2231,7 @@ mod tests {
         let scenario = small_scenario(44)
             .with_message(message.clone())
             .with_backend(BackendKind::Statevector);
-        let outcome = SessionEngine::new(44).run(&scenario).unwrap();
+        let outcome = SessionEngine::new(44).run_nth(&scenario, 0).unwrap();
         assert!(outcome.is_delivered(), "{}", outcome.status);
         assert_eq!(outcome.received_message.as_ref().unwrap(), &message);
         assert_eq!(outcome.message_accuracy(), Some(1.0));
@@ -2446,7 +2281,7 @@ mod tests {
             .build()
             .unwrap();
         let scenario = Scenario::new(config, identities).with_backend(BackendKind::PauliTwirled);
-        let outcome = SessionEngine::new(81).run(&scenario).unwrap();
+        let outcome = SessionEngine::new(81).run_nth(&scenario, 0).unwrap();
         assert!(outcome.is_delivered(), "{}", outcome.status);
         assert!(
             outcome.message_accuracy().unwrap() > 0.8,
@@ -2455,7 +2290,7 @@ mod tests {
         );
         let s2 = outcome.di_check_round2.as_ref().unwrap().chsh.unwrap();
         assert!(s2 > 2.0, "honest twirled channel keeps S2 > 2, got {s2}");
-        let replay = SessionEngine::new(81).run(&scenario).unwrap();
+        let replay = SessionEngine::new(81).run_nth(&scenario, 0).unwrap();
         assert_eq!(outcome, replay);
     }
 
@@ -2465,7 +2300,7 @@ mod tests {
         let scenario = small_scenario(82)
             .with_message(message.clone())
             .with_backend(BackendKind::PauliTwirled);
-        let outcome = SessionEngine::new(82).run(&scenario).unwrap();
+        let outcome = SessionEngine::new(82).run_nth(&scenario, 0).unwrap();
         assert!(outcome.is_delivered(), "{}", outcome.status);
         assert_eq!(outcome.received_message.as_ref().unwrap(), &message);
         assert_eq!(outcome.message_accuracy(), Some(1.0));
@@ -2630,7 +2465,7 @@ mod tests {
         let scenario = small_scenario(55);
         let engine = SessionEngine::new(55).with_backend(backend.clone());
         assert_eq!(engine.backend_name(), "counting");
-        let outcome = engine.run(&scenario).unwrap();
+        let outcome = engine.run_nth(&scenario, 0).unwrap();
         assert!(outcome.is_delivered());
         let total = scenario.config.total_pairs(scenario.identities.qubit_len());
         assert_eq!(

@@ -235,7 +235,7 @@ pub struct Campaign {
     /// [`Scenario::label`].
     pub label: String,
     /// Master seed: session points plan under it directly (matching
-    /// [`SessionEngine::run_batch`]), sampled points derive per-point seeds
+    /// [`SessionEngine::run_trials`]), sampled points derive per-point seeds
     /// from it via [`derive_point_seed`].
     pub master_seed: u64,
     /// Default trial (session) / shot (sampled) budget per point; an
@@ -494,7 +494,7 @@ pub struct CampaignPoint {
     /// Per-point seed, [`derive_point_seed`] of the master seed and
     /// [`index`](Self::index). Sampled workloads seed their RNG from it;
     /// session workloads ignore it (their streams derive from the master
-    /// seed and the scenario fingerprint, matching `run_batch`).
+    /// seed and the scenario fingerprint, matching `run_trials`).
     pub seed: u64,
     /// The concrete scenario (session workloads only).
     pub scenario: Option<Scenario>,

@@ -23,9 +23,9 @@
 //!    outcome lists.
 //!
 //! Single-machine execution is the degenerate case: `run_outcomes` /
-//! `run_trials` / `run_batch` on [`SessionEngine`] are built on these stages
-//! with whole-range plans. The `shardctl` binary (in the `bench` crate) ships
-//! the same three stages as JSON between processes:
+//! `run_trials` on [`SessionEngine`] execute the whole-range plan as one
+//! shard. The `shardctl` binary (in the `bench` crate) ships the same three
+//! stages as JSON between processes:
 //!
 //! ```text
 //! shardctl plan --scenario scenario.json --trials 1000 --seed 42 --shards 4 \
@@ -174,12 +174,12 @@ impl ShardPlan {
                 self.plan_stamp
             )));
         }
-        if self.trial_end() > self.total_trials as u64 {
+        // Checked: a hostile plan's range may not even have an end.
+        let end = self.trial_start.checked_add(self.trial_count as u64);
+        if end.is_none_or(|end| end > self.total_trials as u64) {
             return Err(ProtocolError::InvalidConfig(format!(
-                "shard trial range {}..{} exceeds the run's {} total trials",
-                self.trial_start,
-                self.trial_end(),
-                self.total_trials
+                "shard trial range of {} trials from {} exceeds the run's {} total trials",
+                self.trial_count, self.trial_start, self.total_trials
             )));
         }
         Ok(())
@@ -444,54 +444,17 @@ impl SessionEngine {
         output: ShardOutput,
     ) -> Result<(ShardResult, ExecutorStats), ProtocolError> {
         plan.validate()?;
-        let (payload, stats) = self.execute_trials(
-            &plan.scenario,
-            plan.fingerprint,
-            plan.master_seed,
-            plan.trial_start,
-            plan.trial_count,
-            output,
-        )?;
-        Ok((
-            ShardResult {
-                master_seed: plan.master_seed,
-                fingerprint: plan.fingerprint,
-                backend: plan.backend(),
-                trial_start: plan.trial_start,
-                trial_count: plan.trial_count,
-                total_trials: plan.total_trials,
-                payload,
-            },
-            stats,
-        ))
-    }
-
-    /// The executor stage proper: runs one contiguous trial range of a
-    /// scenario with a precomputed fingerprint under an explicit master seed.
-    ///
-    /// Both entry points share it — `execute_shard` after validating a
-    /// deserialized plan, and `run_outcomes` / `run_trials` directly for the
-    /// in-process whole-run case (the scenario is borrowed and already
-    /// fingerprinted there, so no plan needs to be built or re-validated).
-    pub(super) fn execute_trials(
-        &self,
-        scenario: &Scenario,
-        fingerprint: u64,
-        master_seed: u64,
-        trial_start: u64,
-        trial_count: usize,
-        output: ShardOutput,
-    ) -> Result<(ShardPayload, ExecutorStats), ProtocolError> {
         // A shard is self-contained: execute under the *run's* master seed
         // (from the plan), not this engine's, so it reproduces identically on
         // any engine.
         let executor = SessionEngine {
-            master_seed,
+            master_seed: plan.master_seed,
             backend: self.backend.clone(),
             parallelism: self.parallelism,
         };
+        let scenario = &plan.scenario;
         let mut payload = match output {
-            ShardOutput::Outcomes => ShardPayload::Outcomes(Vec::with_capacity(trial_count)),
+            ShardOutput::Outcomes => ShardPayload::Outcomes(Vec::with_capacity(plan.trial_count)),
             ShardOutput::Summary => ShardPayload::Summary(TrialSummaryBuilder::new(
                 scenario.label.clone(),
                 scenario.adversary.name(),
@@ -503,9 +466,10 @@ impl SessionEngine {
         let program = SessionEngine::compile_program(scenario);
         let stats = parallel::scatter_visit(
             self.parallelism,
-            trial_count,
+            plan.trial_count,
             |index| {
-                executor.run_compiled(scenario, fingerprint, &program, trial_start + index as u64)
+                let trial = plan.trial_start + index as u64;
+                executor.run_compiled(scenario, plan.fingerprint, &program, trial)
             },
             |_, outcome| match outcome {
                 Ok(outcome) => {
@@ -522,10 +486,21 @@ impl SessionEngine {
                 }
             },
         );
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok((payload, stats)),
+        if let Some(error) = first_error {
+            return Err(error);
         }
+        Ok((
+            ShardResult {
+                master_seed: plan.master_seed,
+                fingerprint: plan.fingerprint,
+                backend: plan.backend(),
+                trial_start: plan.trial_start,
+                trial_count: plan.trial_count,
+                total_trials: plan.total_trials,
+                payload,
+            },
+            stats,
+        ))
     }
 }
 
@@ -947,6 +922,28 @@ mod tests {
             oversized.validate(),
             Err(ProtocolError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn a_trial_range_past_the_index_space_is_rejected_not_wrapped() {
+        // A correctly stamped hostile plan whose range end overflows u64.
+        let engine = SessionEngine::new(4);
+        let mut plan = engine.plan(&scenario(4), 2);
+        plan.trial_start = u64::MAX;
+        plan.trial_count = 1;
+        plan.plan_stamp = plan.provenance_stamp();
+        let expected = format!("1 trials from {} exceeds the run's 2 total", u64::MAX);
+        for result in [
+            plan.validate(),
+            engine.execute_shard(&plan, ShardOutput::Summary).map(drop),
+        ] {
+            match result {
+                Err(ProtocolError::InvalidConfig(message)) => {
+                    assert!(message.contains(&expected), "{message}")
+                }
+                other => panic!("overflowing range accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]

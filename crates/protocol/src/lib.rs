@@ -60,18 +60,15 @@
 //!
 //! let engine = SessionEngine::new(42);
 //! // One honest session…
-//! let outcome = engine.run(&Scenario::new(config.clone(), identities.clone()))?;
+//! let honest = Scenario::new(config.clone(), identities.clone()).with_label("honest");
+//! let outcome = engine.run_nth(&honest, 0)?;
 //! assert!(outcome.is_delivered());
-//! // …and an attacked batch, summarised per scenario.
-//! let scenarios = vec![
-//!     Scenario::new(config.clone(), identities.clone()).with_label("honest"),
-//!     Scenario::new(config, identities)
-//!         .with_label("impersonation")
-//!         .with_adversary(Adversary::ImpersonateBob),
-//! ];
-//! let summaries = engine.run_batch(&scenarios, 4)?;
-//! assert_eq!(summaries[0].delivered, 4);
-//! assert!(summaries[1].detection_rate() > 0.9);
+//! // …and attacked trials, summarised.
+//! let attacked = Scenario::new(config, identities)
+//!     .with_label("impersonation")
+//!     .with_adversary(Adversary::ImpersonateBob);
+//! assert_eq!(engine.run_trials(&honest, 4)?.delivered, 4);
+//! assert!(engine.run_trials(&attacked, 4)?.detection_rate() > 0.9);
 //! # Ok(())
 //! # }
 //! ```

@@ -257,7 +257,7 @@ mod tests {
         assert!(first.is_delivered(), "{}", first.status);
         assert_eq!(first.received_message.as_ref().unwrap(), &message);
         let scenario = Scenario::new(config, identities).with_message(message);
-        assert!(engine.run(&scenario).unwrap().is_delivered());
+        assert!(engine.run_nth(&scenario, 0).unwrap().is_delivered());
     }
 
     #[test]
@@ -320,7 +320,7 @@ mod tests {
         let identities = IdentityPair::generate(4, &mut rng(33));
         let config = small_config();
         let scenario = Scenario::new(config.clone(), identities.clone());
-        let outcome = SessionEngine::new(33).run(&scenario).unwrap();
+        let outcome = SessionEngine::new(33).run_nth(&scenario, 0).unwrap();
         let planned = ResourceUsage::planned(&config, identities.qubit_len());
         let live = ResourceUsage {
             classical_messages: 0,

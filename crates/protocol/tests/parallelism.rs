@@ -5,7 +5,7 @@
 //! fall back to 0.0 instead of dividing by zero.
 
 use proptest::prelude::*;
-use protocol::engine::{Adversary, Parallelism, Scenario, SessionEngine};
+use protocol::engine::{Adversary, BackendKind, Parallelism, Scenario, SessionEngine};
 use protocol::identity::IdentityPair;
 use protocol::SessionConfig;
 use qchannel::taps::{InterceptBasis, SubstituteState};
@@ -133,11 +133,21 @@ proptest! {
     fn run_outcomes_matches_serial_under_every_mode(
         master_seed in 0u64..1_000_000,
         trials in 1usize..4,
+        backend_index in 0usize..BackendKind::ALL.len(),
     ) {
-        let scenario = scenario(4, 0, 2, 0, master_seed);
+        let backend = BackendKind::ALL[backend_index];
+        let scenario = scenario(4, 0, 2, 0, master_seed).with_backend(backend);
         let reference = SessionEngine::new(master_seed)
             .run_outcomes(&scenario, trials)
             .expect("serial outcomes run");
+        // The single-trial path compiles per call, apart from the shard
+        // executor: every trial it replays must match the fan-out's.
+        for (trial, outcome) in reference.iter().enumerate() {
+            let nth = SessionEngine::new(master_seed)
+                .run_nth(&scenario, trial as u64)
+                .expect("single trial runs");
+            prop_assert_eq!(&nth, outcome, "trial {} on {}", trial, backend);
+        }
         for mode in MODES {
             let outcomes = SessionEngine::new(master_seed)
                 .with_parallelism(mode)

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_label("eve-as-bob")
         .with_message(message)
         .with_adversary(Adversary::ImpersonateBob);
-    let outcome = SessionEngine::new(99).run(&scenario)?;
+    let outcome = SessionEngine::new(99).run_nth(&scenario, 0)?;
     println!("\nproposed UA-DI-QSDC      : {}", outcome.status);
     if let Some(report) = &outcome.bob_auth {
         println!("  -> Alice's verdict on \"Bob\": {report}");

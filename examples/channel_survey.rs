@@ -1,7 +1,7 @@
 //! Channel survey: reproduce the spirit of the paper's Fig. 3 with full protocol sessions —
 //! how do delivery and message accuracy degrade as the quantum channel gets longer?
 //!
-//! Each channel length becomes one [`Scenario`] in a single engine batch, so the whole sweep
+//! Each channel length becomes one [`Scenario`] run on a single engine, so the whole sweep
 //! replays bit-for-bit from one master seed.
 //!
 //! ```text
@@ -39,7 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     let engine = SessionEngine::new(31337);
-    let summaries = engine.run_batch(&scenarios, trials)?;
+    let summaries = scenarios
+        .iter()
+        .map(|scenario| engine.run_trials(scenario, trials))
+        .collect::<Result<Vec<_>, _>>()?;
 
     println!("\n  η (id gates)   duration (µs)   delivered   accuracy");
     let mut crossing = None;

@@ -1,5 +1,5 @@
-//! Eavesdropper drill: throw every attack from the paper's Section III at the protocol as one
-//! engine batch and watch each one get caught.
+//! Eavesdropper drill: throw every attack from the paper's Section III at the protocol under
+//! one master seed and watch each one get caught.
 //!
 //! ```text
 //! cargo run --example eavesdropper_drill
@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     let trials = 8;
 
-    // One scenario per attack of Section III — a single declarative batch.
+    // One scenario per attack of Section III.
     let scenario = |label: &str, adversary: Adversary| {
         Scenario::new(config.clone(), identities.clone())
             .with_label(label)
@@ -41,12 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     let engine = SessionEngine::new(7);
-    println!(
-        "== attack drill ({} trials each, one engine batch) ==",
-        trials
-    );
-    let summaries = engine.run_batch(&scenarios, trials)?;
-    for summary in &summaries {
+    println!("== attack drill ({trials} trials each, one master seed) ==");
+    for scenario in &scenarios {
+        let summary = engine.run_trials(scenario, trials)?;
         println!("  {summary}");
         assert_eq!(summary.delivered, 0, "no attack may ever deliver");
     }

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.backend
     );
 
-    let outcome = engine.run(&scenario)?;
+    let outcome = engine.run_nth(&scenario, 0)?;
 
     println!("session status           : {}", outcome.status);
     if let Some(report) = &outcome.di_check_round1 {

@@ -37,23 +37,23 @@
 //!
 //! let engine = SessionEngine::new(42);
 //! let honest = Scenario::new(config.clone(), identities.clone());
-//! let outcome = engine.run(&honest)?;
+//! let outcome = engine.run_nth(&honest, 0)?;
 //! assert!(outcome.is_delivered());
 //!
-//! // Attacked variants are one adversary away, and batches aggregate trials per scenario.
+//! // Attacked variants are one adversary away, and summaries aggregate trials.
 //! let attacked = honest
 //!     .clone()
 //!     .with_label("impersonation")
 //!     .with_adversary(Adversary::ImpersonateBob);
-//! let summaries = engine.run_batch(&[honest.clone(), attacked.clone()], 3)?;
-//! assert_eq!(summaries[0].delivered, 3);
-//! assert!(summaries[1].detection_rate() > 0.9);
+//! assert_eq!(engine.run_trials(&honest, 3)?.delivered, 3);
+//! let summary = engine.run_trials(&attacked, 3)?;
+//! assert!(summary.detection_rate() > 0.9);
 //!
-//! // The same batch across all cores: bit-identical summaries, plus executor stats.
+//! // The same trials across all cores: a bit-identical summary, plus executor stats.
 //! let threaded = engine.with_parallelism(Parallelism::Auto);
-//! let (parallel_summaries, stats) = threaded.run_batch_with_stats(&[honest, attacked], 3)?;
-//! assert_eq!(parallel_summaries, summaries);
-//! assert_eq!(stats.tasks, 6); // 2 scenarios × 3 trials
+//! let (parallel_summary, stats) = threaded.run_trials_with_stats(&attacked, 3)?;
+//! assert_eq!(parallel_summary, summary);
+//! assert_eq!(stats.tasks, 3);
 //! # Ok(())
 //! # }
 //! ```
@@ -269,9 +269,9 @@
 //! let config = SessionConfig::builder().message_bits(8).check_bits(2).di_check_pairs(64).build()?;
 //! let sampled = Scenario::new(config.clone(), identities.clone())
 //!     .with_backend(BackendKind::Statevector);
-//! assert!(SessionEngine::new(42).run(&sampled)?.is_delivered());
+//! assert!(SessionEngine::new(42).run_nth(&sampled, 0)?.is_delivered());
 //! let twirled = Scenario::new(config, identities).with_backend(BackendKind::PauliTwirled);
-//! assert!(SessionEngine::new(42).run(&twirled)?.is_delivered());
+//! assert!(SessionEngine::new(42).run_nth(&twirled, 0)?.is_delivered());
 //! # Ok(())
 //! # }
 //! ```

@@ -80,8 +80,9 @@ fn mitm_and_entangle_measure_are_detected_every_time() {
             .with_label("entangle-measure")
             .with_adversary(Adversary::EntangleMeasure { strength: 1.0 }),
     ];
-    let summaries = SessionEngine::new(14).run_batch(&scenarios, 5).unwrap();
-    for summary in &summaries {
+    let engine = SessionEngine::new(14);
+    for scenario in &scenarios {
+        let summary = engine.run_trials(scenario, 5).unwrap();
         assert_eq!(summary.delivered, 0, "{summary}");
         assert!(summary.detection_rate() > 0.99, "{summary}");
     }

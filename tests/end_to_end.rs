@@ -25,7 +25,7 @@ fn ideal_channel_session_delivers_exact_message() {
     let message = SecretMessage::from_bitstring("11010010101011110000").unwrap();
     let scenario = Scenario::new(config_with_channel(0, message.len()), identities)
         .with_message(message.clone());
-    let outcome = SessionEngine::new(1).run(&scenario).unwrap();
+    let outcome = SessionEngine::new(1).run_nth(&scenario, 0).unwrap();
     assert!(outcome.is_delivered(), "{}", outcome.status);
     assert_eq!(outcome.received_message.unwrap(), message);
     assert_eq!(outcome.message_bit_error_rate, Some(0.0));
@@ -35,7 +35,7 @@ fn ideal_channel_session_delivers_exact_message() {
 fn short_noisy_channel_session_has_high_accuracy_and_chsh_violation() {
     let identities = IdentityPair::generate(6, &mut rng_from_seed(2));
     let scenario = Scenario::new(config_with_channel(10, 24), identities);
-    let outcome = SessionEngine::new(2).run(&scenario).unwrap();
+    let outcome = SessionEngine::new(2).run_nth(&scenario, 0).unwrap();
     assert!(outcome.is_delivered(), "{}", outcome.status);
     assert!(outcome.message_accuracy().unwrap() > 0.85);
     let s1 = outcome.di_check_round1.unwrap().chsh.unwrap();
@@ -53,7 +53,7 @@ fn text_round_trip_through_the_protocol() {
     let message = SecretMessage::from_text("qsdc");
     let scenario =
         Scenario::new(config_with_channel(0, message.len()), identities).with_message(message);
-    let outcome = SessionEngine::new(3).run(&scenario).unwrap();
+    let outcome = SessionEngine::new(3).run_nth(&scenario, 0).unwrap();
     assert_eq!(outcome.received_message.unwrap().to_text_lossy(), "qsdc");
 }
 
@@ -63,7 +63,7 @@ fn resource_accounting_matches_paper_formula() {
     let identities = IdentityPair::generate(5, &mut rng_from_seed(4));
     let config = config_with_channel(0, 16);
     let scenario = Scenario::new(config.clone(), identities.clone());
-    let outcome = SessionEngine::new(4).run(&scenario).unwrap();
+    let outcome = SessionEngine::new(4).run_nth(&scenario, 0).unwrap();
     let n = config.message_qubits();
     let d = config.di_check_pairs();
     let l = identities.qubit_len();
@@ -79,7 +79,7 @@ fn resource_accounting_matches_paper_formula() {
 fn transcript_is_public_but_harmless() {
     let identities = IdentityPair::generate(4, &mut rng_from_seed(5));
     let scenario = Scenario::new(config_with_channel(0, 16), identities);
-    let outcome = SessionEngine::new(5).run(&scenario).unwrap();
+    let outcome = SessionEngine::new(5).run_nth(&scenario, 0).unwrap();
     let audit = LeakageAudit::structural(std::slice::from_ref(&outcome.transcript));
     assert!(audit.structurally_clean());
     assert!(
@@ -93,8 +93,8 @@ fn transcript_is_public_but_harmless() {
 fn sessions_are_reproducible_for_a_fixed_master_seed() {
     let identities = IdentityPair::generate(4, &mut rng_from_seed(6));
     let scenario = Scenario::new(config_with_channel(10, 16), identities);
-    let a = SessionEngine::new(7).run(&scenario).unwrap();
-    let b = SessionEngine::new(7).run(&scenario).unwrap();
+    let a = SessionEngine::new(7).run_nth(&scenario, 0).unwrap();
+    let b = SessionEngine::new(7).run_nth(&scenario, 0).unwrap();
     assert_eq!(a, b, "identical engines replay identical outcomes");
     assert_eq!(a.sent_message, b.sent_message);
     assert_eq!(
@@ -124,7 +124,11 @@ fn longer_channels_degrade_delivered_accuracy() {
             Scenario::new(config, identities.clone()).with_label(format!("eta-{eta}"))
         })
         .collect();
-    let summaries = SessionEngine::new(8).run_batch(&scenarios, 1).unwrap();
+    let engine = SessionEngine::new(8);
+    let summaries: Vec<TrialSummary> = scenarios
+        .iter()
+        .map(|scenario| engine.run_trials(scenario, 1).unwrap())
+        .collect();
     for summary in &summaries {
         assert_eq!(summary.delivered, 1, "{summary}");
     }

@@ -1,6 +1,6 @@
 //! Replay guarantees of the execution engine: scenarios serde round-trip, and a fixed master
-//! seed reproduces `run_batch` results bit for bit — independent of batch composition, order,
-//! and the number of worker threads.
+//! seed reproduces `run_trials` results bit for bit — independent of the number of worker
+//! threads.
 //!
 //! The CI `determinism` job runs this file several times with the `UA_DI_QSDC_PARALLELISM`
 //! environment variable set to `serial`, `threads:2` and `threads:8`; the env-selected tests
@@ -12,6 +12,14 @@ use ua_di_qsdc::prelude::*;
 /// determinism matrix does), serial otherwise.
 fn env_parallelism() -> Parallelism {
     Parallelism::from_env().unwrap_or(Parallelism::Serial)
+}
+
+/// `trials` trials of every scenario: one summary per scenario, in order.
+fn run_each(engine: &SessionEngine, scenarios: &[Scenario], trials: usize) -> Vec<TrialSummary> {
+    scenarios
+        .iter()
+        .map(|scenario| engine.run_trials(scenario, trials).expect("trials run"))
+        .collect()
 }
 
 fn scenarios() -> Vec<Scenario> {
@@ -80,22 +88,18 @@ fn deserialized_scenarios_replay_identically() {
     for scenario in scenarios() {
         let json = serde::json::to_string(&scenario);
         let shipped: Scenario = serde::json::from_str(&json).unwrap();
-        let original = engine.run(&scenario).unwrap();
-        let replayed = engine.run(&shipped).unwrap();
+        let original = engine.run_nth(&scenario, 0).unwrap();
+        let replayed = engine.run_nth(&shipped, 0).unwrap();
         assert_eq!(original, replayed, "scenario `{}`", scenario.label);
     }
 }
 
 #[test]
-fn run_batch_replays_bit_for_bit_under_a_fixed_master_seed() {
+fn run_trials_replays_bit_for_bit_under_a_fixed_master_seed() {
     let batch = scenarios();
     let trials = 3;
-    let first = SessionEngine::new(424242)
-        .run_batch(&batch, trials)
-        .unwrap();
-    let second = SessionEngine::new(424242)
-        .run_batch(&batch, trials)
-        .unwrap();
+    let first = run_each(&SessionEngine::new(424242), &batch, trials);
+    let second = run_each(&SessionEngine::new(424242), &batch, trials);
     assert_eq!(
         first, second,
         "identical master seeds must replay identically"
@@ -106,43 +110,37 @@ fn run_batch_replays_bit_for_bit_under_a_fixed_master_seed() {
         serde::json::to_string(&second)
     );
     // A different master seed gives a genuinely different execution.
-    let third = SessionEngine::new(424243)
-        .run_batch(&batch, trials)
-        .unwrap();
+    let third = run_each(&SessionEngine::new(424243), &batch, trials);
     assert_ne!(first, third);
 }
 
 #[test]
-fn run_batch_results_do_not_depend_on_batch_shape() {
+fn run_trials_results_do_not_depend_on_run_order() {
     let batch = scenarios();
     let engine = SessionEngine::new(9000);
-    let full = engine.run_batch(&batch, 2).unwrap();
-    // Reversed order: summaries follow their scenarios.
+    let forward = run_each(&engine, &batch, 2);
+    // Reversed order on the same engine: summaries follow their scenarios.
     let reversed_batch: Vec<Scenario> = batch.iter().rev().cloned().collect();
-    let reversed = engine.run_batch(&reversed_batch, 2).unwrap();
-    for (summary, expected) in reversed.iter().zip(full.iter().rev()) {
+    let reversed = run_each(&engine, &reversed_batch, 2);
+    for (summary, expected) in reversed.iter().zip(forward.iter().rev()) {
         assert_eq!(summary, expected);
     }
-    // Single-scenario slices: identical to their position in the full batch.
-    for (scenario, expected) in batch.iter().zip(&full) {
-        let alone = engine.run_trials(scenario, 2).unwrap();
+    // Each scenario alone on a fresh engine: identical to its run among the others.
+    for (scenario, expected) in batch.iter().zip(&forward) {
+        let alone = SessionEngine::new(9000).run_trials(scenario, 2).unwrap();
         assert_eq!(&alone, expected);
     }
 }
 
 #[test]
-fn threaded_run_batch_is_byte_identical_to_serial() {
+fn threaded_run_trials_is_byte_identical_to_serial() {
     let batch = scenarios();
     let trials = 3;
-    let serial = SessionEngine::new(77)
-        .run_batch(&batch, trials)
-        .expect("serial batch runs");
+    let serial = run_each(&SessionEngine::new(77), &batch, trials);
     let serial_bytes = serde::json::to_string(&serial);
     for n in [1usize, 2, 8] {
-        let threaded = SessionEngine::new(77)
-            .with_parallelism(Parallelism::Threads(n))
-            .run_batch(&batch, trials)
-            .expect("threaded batch runs");
+        let engine = SessionEngine::new(77).with_parallelism(Parallelism::Threads(n));
+        let threaded = run_each(&engine, &batch, trials);
         assert_eq!(threaded, serial, "Threads({n}) diverged from Serial");
         assert_eq!(
             serde::json::to_string(&threaded),
@@ -167,13 +165,12 @@ fn threaded_run_batch_is_byte_identical_to_serial() {
 fn env_selected_parallelism_matches_serial() {
     let mode = env_parallelism();
     let batch = scenarios();
-    let serial = SessionEngine::new(20240916)
-        .run_batch(&batch, 2)
-        .expect("serial batch runs");
-    let selected = SessionEngine::new(20240916)
-        .with_parallelism(mode)
-        .run_batch(&batch, 2)
-        .expect("env-selected batch runs");
+    let serial = run_each(&SessionEngine::new(20240916), &batch, 2);
+    let selected = run_each(
+        &SessionEngine::new(20240916).with_parallelism(mode),
+        &batch,
+        2,
+    );
     assert_eq!(
         serde::json::to_string(&selected),
         serde::json::to_string(&serial),
@@ -260,9 +257,7 @@ fn shards_shipped_as_json_merge_to_the_single_process_run() {
 
 #[test]
 fn trial_summaries_serde_round_trip() {
-    let summaries = SessionEngine::new(5)
-        .run_batch(&scenarios()[..2], 2)
-        .unwrap();
+    let summaries = run_each(&SessionEngine::new(5), &scenarios()[..2], 2);
     for summary in summaries {
         let json = serde::json::to_string(&summary);
         let back: TrialSummary = serde::json::from_str(&json).unwrap();
