@@ -17,7 +17,6 @@
 //! | Info-leakage audit (Sec. III-E) | [`leakage_experiment`] | `attack_leakage` |
 //! | CHSH behaviour (Sec. II) | [`chsh_baseline_experiment`] | `chsh_baseline` |
 //! | Backend ablation (Sec. IV emulation vs trajectories) | [`campaigns::ablation_campaign`] | `ablation_backend` |
-//! | Engine throughput trajectory | — | `bench_throughput` |
 //!
 //! The engine-driven attack binaries additionally accept `--backend KIND`
 //! (any [`BackendKind`] name or alias) to re-run their sweep on another
@@ -236,11 +235,12 @@ pub enum ChannelAttackKind {
     EntangleMeasure,
 }
 
-/// Builds the η-sweep workload behind the `bench_throughput` sweep lanes: an
-/// honest session over `eta` noisy identity gates of an `ibm_brisbane`-like
-/// channel — the regime the paper's detection-rate curves integrate over,
-/// where per-trial channel simulation (not protocol bookkeeping) dominates
-/// the cost and the substrates separate.
+/// Builds the η-sweep workload behind `ablation_backend`'s timing column and
+/// the substrate tests (backend agreement, allocation regression): an honest
+/// session over `eta` noisy identity gates of an `ibm_brisbane`-like channel
+/// — the regime the paper's detection-rate curves integrate over, where
+/// per-trial channel simulation (not protocol bookkeeping) dominates the
+/// cost and the substrates separate.
 pub fn sweep_scenario(eta: usize, seed: u64, backend: BackendKind) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed);
     let identities = IdentityPair::generate(4, &mut rng);

@@ -47,7 +47,13 @@ impl Config {
                 // synthetic paths, never as workspace sources.
                 "crates/detlint/tests/inputs/".into(),
             ],
-            wall_clock_exempt: vec!["crates/compat/".into()],
+            wall_clock_exempt: vec![
+                "crates/compat/".into(),
+                // The benchmark package: its output is wall-clock timing,
+                // and none of it feeds a fingerprint, a result or a
+                // fixture — the reason binaries and benches are exempt.
+                "perfbench/".into(),
+            ],
             unordered_scope: vec![
                 "crates/protocol/src/".into(),
                 "crates/noise/src/".into(),
@@ -139,9 +145,12 @@ mod tests {
         assert!(!config.wall_clock_applies("crates/serve/src/main.rs"));
         // Exempt-by-prefix (vendored shims).
         assert!(!config.wall_clock_applies("crates/compat/rand/src/lib.rs"));
+        // Exempt-by-prefix (the timing-only benchmark package).
+        assert!(!config.wall_clock_applies("perfbench/src/stats.rs"));
         // Library code stays patrolled — including a module merely named
         // like an entry point outside `src/`.
         assert!(config.wall_clock_applies("crates/serve/src/server.rs"));
+        assert!(config.wall_clock_applies("crates/serve/src/spool.rs"));
         assert!(config.wall_clock_applies("crates/protocol/src/engine.rs"));
     }
 }

@@ -944,8 +944,34 @@ impl ShardQueue {
         fold_results(self.verified_done_results(&checkpoint)?)
     }
 
-    /// Reads, checksum-verifies, parses and header-checks every completed
-    /// slot's result file, in trial order.
+    /// Reads and verifies the contiguous done prefix — the completed slots
+    /// before the first pending or leased one — in trial order. Each result
+    /// file is fingerprint- and header-checked exactly as
+    /// [`merge`](Self::merge) checks it, so a prefix never folds a file the
+    /// merge would reject.
+    ///
+    /// # Errors
+    ///
+    /// Checkpoint load failures, or the file faults of [`merge`](Self::merge)
+    /// ([`QueueError::Missing`] / [`QueueError::Corrupt`] /
+    /// [`QueueError::Parse`] / header mismatches), each naming the offending
+    /// result file.
+    pub fn done_prefix(&self) -> Result<Vec<ShardResult>, QueueError> {
+        let checkpoint = self.load()?;
+        checkpoint
+            .shards
+            .iter()
+            .map_while(|slot| match slot.state {
+                SlotState::Done { result_fingerprint } => Some(
+                    self.verified_result(&checkpoint, slot, result_fingerprint)
+                        .map(|(_, result)| result),
+                ),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Reads and verifies every completed slot's result file, in trial order.
     fn verified_done_results(
         &self,
         checkpoint: &MergeCheckpoint,
@@ -953,17 +979,17 @@ impl ShardQueue {
         let mut results = Vec::new();
         for slot in &checkpoint.shards {
             if let SlotState::Done { result_fingerprint } = slot.state {
-                let (path, result) = self.verified_result_bytes(slot, result_fingerprint)?;
-                validate_result_header(checkpoint, &result, Some(path.clone()))?;
-                results.push((path, result));
+                results.push(self.verified_result(checkpoint, slot, result_fingerprint)?);
             }
         }
         Ok(results)
     }
 
-    /// Reads, checksum-verifies and parses one completed slot's result file.
-    fn verified_result_bytes(
+    /// Reads, checksum-verifies, parses and header-checks one completed
+    /// slot's result file.
+    fn verified_result(
         &self,
+        checkpoint: &MergeCheckpoint,
         slot: &ShardSlot,
         expected_fingerprint: u64,
     ) -> Result<(PathBuf, ShardResult), QueueError> {
@@ -996,6 +1022,7 @@ impl ShardQueue {
             path: path.clone(),
             message: e.to_string(),
         })?;
+        validate_result_header(checkpoint, &result, Some(path.clone()))?;
         Ok((path, result))
     }
 

@@ -411,6 +411,9 @@ fn submit(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, spec: J
                 // Campaign reports fold per-point; no incremental stream.
                 JobWork::Campaign { .. } => 0,
             };
+            // Answer before the job becomes schedulable, so its snapshots
+            // and `Done` can never overtake its `Accepted` on the wire.
+            sink.send(&Response::Accepted { job });
             inner.registry.add_job(
                 job,
                 Some(client),
@@ -418,7 +421,6 @@ fn submit(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, spec: J
                 trials_total,
                 snapshot_trials,
             );
-            sink.send(&Response::Accepted { job });
         }
         Err(SpoolError::Unsupported { reason }) => {
             inner.registry.release_slot(client);

@@ -23,8 +23,8 @@
 use protocol::engine::queue::{write_atomically, WriteError};
 use protocol::engine::{
     Campaign, CampaignError, CampaignReport, CampaignRun, CampaignWorkload, ClaimOutcome,
-    QueueError, SessionEngine, ShardOutput, ShardPayload, ShardPlan, ShardQueue, SlotState,
-    TrialSummary, TrialSummaryBuilder,
+    QueueError, SessionEngine, ShardOutput, ShardPayload, ShardPlan, ShardQueue, TrialSummary,
+    TrialSummaryBuilder,
 };
 use protocol::wire::{JobManifest, JobSpec};
 use std::fmt;
@@ -516,31 +516,18 @@ impl Spool {
     ///
     /// # Errors
     ///
-    /// Checkpoint/result-file read failures.
+    /// Checkpoint read failures, or any prefix result file the queue's merge
+    /// would reject ([`ShardQueue::done_prefix`]), named in the error.
     pub fn snapshot(&self, queue: &ShardQueue) -> Result<Option<(u64, TrialSummary)>, SpoolError> {
-        let checkpoint = queue.checkpoint()?;
         let mut builder: Option<TrialSummaryBuilder> = None;
         let mut trials = 0u64;
-        for slot in &checkpoint.shards {
-            if !matches!(slot.state, SlotState::Done { .. }) {
-                break;
-            }
-            let path = queue.result_path(slot);
-            let text = fs::read_to_string(&path).map_err(|e| SpoolError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            let result: protocol::engine::ShardResult =
-                serde::json::from_str(&text).map_err(|e| SpoolError::Manifest {
-                    path: path.clone(),
-                    message: e.to_string(),
-                })?;
+        for result in queue.done_prefix()? {
             let ShardPayload::Summary(partial) = result.payload else {
                 return Err(SpoolError::Unsupported {
                     reason: "snapshots need summary payloads".to_string(),
                 });
             };
-            trials += slot.trial_count as u64;
+            trials += result.trial_count as u64;
             builder = Some(match builder {
                 None => partial,
                 Some(mut merged) => {
@@ -584,5 +571,80 @@ fn reject_unservable(campaign: &Campaign) -> Result<(), SpoolError> {
                      run them with `shardctl campaign run` instead"
                 .to_string(),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use protocol::identity::IdentityPair;
+    use protocol::wire::MANIFEST_VERSION;
+    use protocol::SessionConfig;
+    use rand::SeedableRng;
+
+    /// A unique spool directory, removed on drop.
+    struct TempSpoolDir(PathBuf);
+
+    impl Drop for TempSpoolDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    fn snapshot_rejects_a_tampered_done_result_by_name() {
+        let dir = TempSpoolDir(
+            std::env::temp_dir().join(format!("ua-di-qsdc-spool-tamper-{}", std::process::id())),
+        );
+        let spool = Spool::open(&dir.0).unwrap();
+        let config = SessionConfig::builder()
+            .message_bits(8)
+            .check_bits(2)
+            .di_check_pairs(16)
+            .build()
+            .unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let scenario = protocol::engine::Scenario::new(config, IdentityPair::generate(2, &mut rng));
+        let manifest = JobManifest {
+            version: MANIFEST_VERSION,
+            job: 1,
+            client: "test".to_string(),
+            spec: JobSpec::Session {
+                scenario,
+                trials: 4,
+                seed: 9,
+            },
+            shard_trials: 2,
+        };
+        let work = spool.lower(&manifest).unwrap();
+        let mut queue = None;
+        while let WorkClaim::Claimed { queue: q, plan } = work.claim("w", 5_000).unwrap() {
+            let result = SessionEngine::new(0)
+                .execute_shard(&plan, ShardOutput::Summary)
+                .unwrap();
+            q.submit(&result).unwrap();
+            queue = Some(q);
+        }
+        let queue = queue.expect("the job has shards");
+        assert!(matches!(spool.snapshot(&queue), Ok(Some((4, _)))));
+
+        // Rewrite the first done result into valid JSON with another count.
+        let path = queue.result_path(&queue.checkpoint().unwrap().shards[0]);
+        let text = fs::read_to_string(&path).unwrap();
+        let forged = text.replacen("\"delivered\":", "\"delivered\":1", 1);
+        assert_ne!(forged, text);
+        assert!(serde::json::from_str::<protocol::engine::ShardResult>(&forged).is_ok());
+        fs::write(&path, forged).unwrap();
+
+        let err = spool.snapshot(&queue).unwrap_err();
+        assert!(
+            matches!(&err, SpoolError::Queue(QueueError::Corrupt { path: p, .. }) if *p == path),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains(&path.display().to_string()),
+            "{err}"
+        );
+        assert!(matches!(queue.merge(), Err(QueueError::Corrupt { .. })));
     }
 }

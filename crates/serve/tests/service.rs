@@ -9,6 +9,7 @@ use common::{campaign, scenario, TempDir};
 use protocol::engine::{CampaignWorkload, NoSampler, Parallelism, SessionEngine};
 use protocol::wire::{ErrorKind, JobSpec, JobState, Request, Response};
 use serve::{Client, Server, ServerConfig};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -180,6 +181,101 @@ fn quota_exhaustion_answers_busy_and_releases_on_completion() {
         matches!(third, Response::Accepted { .. }),
         "slot must be free after Done, got {third:?}"
     );
+}
+
+/// Many tenants pipelining past their quota at once: every job is either
+/// accepted or refused by name, and every accepted job finishes with the
+/// summary a local run produces. Nothing is dropped.
+#[test]
+fn many_clients_at_quota_lose_no_jobs() {
+    const CLIENTS: u64 = 16;
+    const JOB_TRIALS: [usize; 3] = [2, 6, 12];
+    let spool = TempDir::new("many-clients");
+    let server = start_server(&spool, 4, 2, 4);
+    let addr = server.local_addr();
+
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connects");
+                let specs: Vec<_> = JOB_TRIALS
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &trials)| JobSpec::Session {
+                        scenario: scenario(c),
+                        trials,
+                        seed: 1_000 * c + i as u64,
+                    })
+                    .collect();
+                // Submits whose direct answer (Accepted or Busy, which come
+                // back in submit order) is still outstanding.
+                let mut answering = VecDeque::new();
+                let mut refused = Vec::new();
+                let mut running = BTreeMap::new();
+                let mut done = vec![None; specs.len()];
+                let submit = |client: &mut Client, answering: &mut VecDeque<usize>, i: usize| {
+                    let job = specs[i].clone();
+                    client.send(&Request::Submit { job }).expect("submit sends");
+                    answering.push_back(i);
+                };
+                for i in 0..specs.len() {
+                    submit(&mut client, &mut answering, i);
+                }
+                while done.iter().any(Option::is_none) {
+                    match client.recv().expect("server answers") {
+                        Response::Accepted { job } => {
+                            let i = answering.pop_front().expect("an answer per submit");
+                            running.insert(job, i);
+                        }
+                        Response::Busy { quota, .. } => {
+                            assert_eq!(quota, 2);
+                            refused.push(answering.pop_front().expect("an answer per submit"));
+                            // With nothing of ours left in flight no `Done`
+                            // will free a slot, so retry at once.
+                            if running.is_empty() && answering.is_empty() {
+                                let i = refused.pop().expect("just refused");
+                                submit(&mut client, &mut answering, i);
+                            }
+                        }
+                        Response::Done { job, summary, .. } => {
+                            let i = running.remove(&job).expect("Done for a job of ours");
+                            done[i] = Some(summary.expect("session jobs finish with a summary"));
+                            if let Some(i) = refused.pop() {
+                                submit(&mut client, &mut answering, i);
+                            }
+                        }
+                        Response::Snapshot { .. } => {}
+                        other => panic!("client {c}: unexpected {other:?}"),
+                    }
+                }
+                specs
+                    .into_iter()
+                    .zip(done)
+                    .map(|(spec, summary)| (spec, summary.expect("every job finished")))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+
+    for handle in handles {
+        for (spec, summary) in handle.join().expect("client thread") {
+            let JobSpec::Session {
+                scenario,
+                trials,
+                seed,
+            } = spec
+            else {
+                unreachable!("only session jobs are submitted");
+            };
+            let local = SessionEngine::new(seed)
+                .run_trials(&scenario, trials)
+                .expect("local run");
+            assert_eq!(
+                serde::json::to_string(&summary),
+                serde::json::to_string(&local)
+            );
+        }
+    }
 }
 
 #[test]

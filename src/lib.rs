@@ -240,20 +240,18 @@
 //! # }
 //! ```
 //!
-//! The `serve_load` binary (`bench` crate) is the matching load generator — hundreds of
-//! concurrent clients, mixed job sizes, p50/p99 latency and aggregate trials/sec reported
-//! into `BENCH_throughput.json`'s `serve` section.
+//! The `perfbench` package's `serve-open` workload drives the same server with an open-loop
+//! job mix and reports job latency, throughput and SLO attainment (see `BENCHMARK.json`).
 //!
 //! ## Simulation backends
 //!
 //! Every scenario declares its simulation substrate via [`prelude::BackendKind`] (see
 //! `docs/backends.md` for the full comparison): the default `density-matrix` backend
 //! reproduces the paper's exact emulation, `statevector` runs the same sessions as sampled
-//! pure-state trajectories (one Born-sampled Kraus branch per noise application — cheaper,
-//! and approximate rather than exact), and `pauli-twirled` lowers every noise placement to
-//! its Pauli twirl at compile time and tracks each EPR pair as a two-bit Pauli frame —
-//! integer-only trial loops, two to three orders of magnitude faster on noisy-channel
-//! sweeps. The kind is part of the scenario fingerprint, so the substrates draw disjoint RNG
+//! pure-state trajectories (one Born-sampled Kraus branch per noise application —
+//! approximate rather than exact), and `pauli-twirled` lowers every noise placement to its
+//! Pauli twirl at compile time and tracks each EPR pair as a two-bit Pauli frame —
+//! integer-only trial loops, the cheapest of the three on noisy-channel sweeps. The kind is part of the scenario fingerprint, so the substrates draw disjoint RNG
 //! streams, a shipped `ShardPlan` reproduces on the right substrate anywhere, and the merger
 //! refuses to fold results from different backends into one run. Select it with
 //! [`with_backend`](prelude::Scenario::with_backend) in code, or `--backend` on `shardctl`
