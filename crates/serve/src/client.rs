@@ -32,6 +32,9 @@ impl Client {
     /// (no parseable `Hello` line).
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        // Requests are small lines; with Nagle on, one sent right after
+        // another waits for the server's delayed ACK.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         let mut client = Client {
             reader,
@@ -69,9 +72,7 @@ impl Client {
     ///
     /// Socket write failures.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        let mut line = serde::json::to_string(request);
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())
+        self.send_raw(&serde::json::to_string(request))
     }
 
     /// Writes one raw line (for tests exercising the server's malformed-
@@ -81,8 +82,8 @@ impl Client {
     ///
     /// Socket write failures.
     pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        // One write per line: with Nagle off, each write is its own segment.
+        self.writer.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Reads the next response line, whichever job it belongs to.
@@ -145,5 +146,27 @@ impl Client {
                 _ => {}
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Server, ServerConfig};
+
+    /// The client's socket has Nagle disabled on both halves.
+    #[test]
+    fn connect_disables_nagle() {
+        let spool =
+            std::env::temp_dir().join(format!("ua-di-qsdc-client-nodelay-{}", std::process::id()));
+        let server = Server::start(ServerConfig {
+            spool_dir: spool.clone(),
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let client = Client::connect(server.local_addr()).expect("connects");
+        assert!(matches!(client.writer.nodelay(), Ok(true)));
+        assert!(matches!(client.reader.get_ref().nodelay(), Ok(true)));
+        let _ = std::fs::remove_dir_all(spool);
     }
 }

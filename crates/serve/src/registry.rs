@@ -78,6 +78,9 @@ struct State {
     next_client: u64,
     /// Rotation origin for fair scheduling; advances every `schedule` call.
     cursor: u64,
+    /// Work-arrival counter: bumped by every `add_job`, watched by
+    /// `wait_for_work`.
+    epoch: u64,
 }
 
 /// The server's shared scheduling state. See the module docs.
@@ -154,7 +157,8 @@ impl Registry {
         }
     }
 
-    /// Adds a lowered job to the schedule and wakes the worker pool.
+    /// Adds a lowered job to the schedule, advances the
+    /// [`epoch`](Self::epoch) and wakes the worker pool.
     /// `client: None` marks a job recovered from the spool.
     pub fn add_job(
         &self,
@@ -176,6 +180,7 @@ impl Registry {
                 finalizing: false,
             },
         );
+        state.epoch = state.epoch.wrapping_add(1);
         drop(state);
         self.wake.notify_all();
     }
@@ -315,15 +320,26 @@ impl Registry {
         }
     }
 
-    /// Parks a worker until new work arrives or `timeout` passes (leases
-    /// expire on wall time, so workers must re-poll even without new
-    /// submissions).
-    pub fn wait_for_work(&self, timeout: Duration) {
+    /// The work-arrival epoch. A worker reads it *before* asking for the
+    /// [`schedule`](Self::schedule) and hands it to
+    /// [`wait_for_work`](Self::wait_for_work), so a job added in between is
+    /// never missed.
+    pub fn epoch(&self) -> u64 {
+        self.lock().epoch
+    }
+
+    /// Parks a worker until a job is added after epoch `seen` was read, or
+    /// `timeout` passes. Returns `true` when woken by new work (at once if
+    /// it already arrived), `false` on timeout. Every event that makes work
+    /// claimable is signalled except a lease expiring, so `timeout` only
+    /// needs to be short enough to notice expired leases.
+    pub fn wait_for_work(&self, seen: u64, timeout: Duration) -> bool {
         let state = self.lock();
-        let _unused = self
+        let (state, _) = self
             .wake
-            .wait_timeout(state, timeout)
+            .wait_timeout_while(state, timeout, |state| state.epoch == seen)
             .unwrap_or_else(|poison| poison.into_inner());
+        state.epoch != seen
     }
 
     /// Number of live jobs (diagnostics and tests).
@@ -436,5 +452,24 @@ mod tests {
         assert_eq!(registry.cancel(2, intruder), CancelOutcome::Unknown);
         assert_eq!(registry.cancel(2, client), CancelOutcome::Cancelled);
         assert_eq!(registry.reserve_slot(client, 2), Ok(()));
+    }
+
+    /// The lost-wakeup window: a job added after a worker read the epoch
+    /// (and built its schedule) but before it parks must wake it at once,
+    /// not after the timeout.
+    #[test]
+    fn add_job_between_epoch_and_wait_wakes_the_worker() {
+        let dir = TempDir::new("wakeup");
+        let registry = Registry::new();
+        let seen = registry.epoch();
+        assert!(registry.schedule().is_empty());
+        registry.add_job(1, None, tiny_work(&dir.0, 1), 2, 0);
+        assert!(
+            registry.wait_for_work(seen, Duration::from_secs(60)),
+            "an add_job after the epoch read is a wake-up, not a timeout"
+        );
+
+        // With nothing added since the read, the wait ends by timeout.
+        assert!(!registry.wait_for_work(registry.epoch(), Duration::ZERO));
     }
 }

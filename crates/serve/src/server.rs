@@ -12,6 +12,13 @@
 //! snapshot if the job crossed its cadence, and finalize jobs whose last
 //! shard just landed.
 //!
+//! Latency: every connection runs with Nagle's algorithm off, so a reply
+//! written right after another small line leaves at once instead of waiting
+//! out the client's delayed ACK. A worker with nothing claimable parks
+//! until [`Registry::add_job`] signals new work; the only timed wake-up is
+//! the heartbeat period (`lease_ms / 3`), which notices leases that expired
+//! with no one to signal it (for example one left by a killed predecessor).
+//!
 //! All durable state lives in the [`Spool`]; the process can be SIGKILLed
 //! at any instant and a restarted server ([`Server::start`] rescans the
 //! spool) finishes every accepted job byte-identically.
@@ -53,10 +60,9 @@ pub struct ServerConfig {
     /// jobs are split at); `0` disables streaming.
     pub snapshot_trials: usize,
     /// Shard lease length in milliseconds (heartbeats renew it while a
-    /// worker is alive).
+    /// worker is alive). An idle worker also wakes every `lease_ms / 3`
+    /// to pick up expired leases, the one event nothing signals.
     pub lease_ms: u64,
-    /// Worker re-poll interval when nothing is claimable.
-    pub poll_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -68,7 +74,6 @@ impl Default for ServerConfig {
             quota: 4,
             snapshot_trials: 256,
             lease_ms: 5_000,
-            poll_ms: 25,
         }
     }
 }
@@ -152,7 +157,13 @@ fn io_other(error: SpoolError) -> io::Error {
 
 fn worker_loop(inner: &Arc<Inner>, index: usize) {
     let worker = format!("serve-worker-{index}");
+    // The heartbeat period: how late an idle worker may notice a lease
+    // that expired without anyone signalling it.
+    let lease_check = Duration::from_millis((inner.config.lease_ms / 3).max(1));
     loop {
+        // Read before scheduling, so a job added while this pass runs cuts
+        // the wait below short instead of being missed.
+        let seen = inner.registry.epoch();
         let schedule = inner.registry.schedule();
         let mut claimed = false;
         for entry in schedule {
@@ -170,9 +181,7 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
             }
         }
         if !claimed {
-            inner
-                .registry
-                .wait_for_work(Duration::from_millis(inner.config.poll_ms.max(1)));
+            inner.registry.wait_for_work(seen, lease_check);
         }
     }
 }
@@ -327,11 +336,21 @@ impl ResponseSink for TcpSink {
     }
 }
 
+/// Readies an accepted connection and returns its write half. Nagle's
+/// algorithm is disabled: replies are small lines often written back to
+/// back (`Accepted` then `Done`), and with it on the kernel holds the
+/// second line until the client's delayed ACK fires, tens of milliseconds
+/// later.
+fn open_connection(stream: &TcpStream) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    stream.try_clone()
+}
+
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
-    let write_half = match stream.try_clone() {
-        Ok(clone) => clone,
+    let write_half = match open_connection(&stream) {
+        Ok(write_half) => write_half,
         Err(error) => {
-            eprintln!("serve: could not clone connection: {error}");
+            eprintln!("serve: could not set up connection: {error}");
             return;
         }
     };
@@ -597,6 +616,18 @@ fn discard_to_newline(reader: &mut impl BufRead) -> io::Result<Frame> {
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    /// Both halves of an accepted connection have Nagle disabled (the
+    /// write half is a clone of the same socket).
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connects");
+        let (accepted, _) = listener.accept().expect("accepts");
+        let write_half = open_connection(&accepted).expect("sets up");
+        assert!(matches!(accepted.nodelay(), Ok(true)));
+        assert!(matches!(write_half.nodelay(), Ok(true)));
+    }
 
     /// Frames split across buffer boundaries reassemble; the cap rejects a
     /// hostile line without buffering it and resynchronizes at its newline.
